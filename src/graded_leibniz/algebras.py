@@ -22,10 +22,18 @@ Indices are 1-based everywhere, matching the usual e_1..e_n notation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import DimensionTooSmall, FieldMismatch, NotNilpotent, QnOddDimension, UnsupportedFamily
+from .errors import (
+    DimensionTooSmall,
+    FieldMismatch,
+    GradedLeibnizError,
+    NotNilpotent,
+    QnOddDimension,
+    UnsupportedFamily,
+)
 from .fields import QQ, Field, Scalar
-from .linalg import Subspace, kernel_basis, rref, unit_vector, zero_vector
+from .linalg import Subspace, invert, kernel_basis, mat_vec, zero_vector
 
 FAMILIES = ("nf", "f1", "f2", "lie_l", "lie_q")
 
@@ -33,7 +41,7 @@ FAMILIES = ("nf", "f1", "f2", "lie_l", "lie_q")
 class Algebra:
     """An algebra over an exact field, defined by structure constants."""
 
-    __slots__ = ("dim", "field", "sc", "label")
+    __slots__ = ("dim", "field", "sc", "raw_sc", "label")
 
     def __init__(self, dim: int, field: Field, sc: dict, label: str = "custom"):
         if dim < 1:
@@ -56,6 +64,8 @@ class Algebra:
             if cleaned:
                 clean[(i, j)] = cleaned
         self.sc = clean
+        #: the same constants as raw values (Fractions over Q, ints mod p)
+        self.raw_sc = {key: tuple((k, c.value) for k, c in terms) for key, terms in clean.items()}
 
     # -- basic structure -------------------------------------------------
 
@@ -67,12 +77,20 @@ class Algebra:
         """Bracket of two coefficient vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coefficient vector length does not match the dimension")
-        out = zero_vector(self.field, self.dim)
-        for (i, j), terms in self.sc.items():
+        field = self.field
+        out = self.raw_product([s.value for s in x], [s.value for s in y])
+        return [Scalar(field, v) for v in out]
+
+    def raw_product(self, x: list, y: list) -> list:
+        """Bracket of two raw coefficient vectors (Fractions over Q, ints in [0, p) over F_p)."""
+        p = self.field.p
+        out = [Fraction(0) if p is None else 0] * self.dim
+        for (i, j), terms in self.raw_sc.items():
             f = x[i - 1] * y[j - 1]
             if f:
                 for k, c in terms:
-                    out[k - 1] = out[k - 1] + c * f
+                    v = out[k - 1] + c * f
+                    out[k - 1] = v if p is None else v % p
         return out
 
     def same_structure(self, other: "Algebra") -> bool:
@@ -109,7 +127,14 @@ class Algebra:
             if key in sc:
                 raise ValueError(f"duplicate structure constant entry for {key}")
             sc[key] = [(t["k"], field.scalar(t["c"])) for t in entry["terms"]]
-        return Algebra(doc["dim"], field, sc, doc.get("label", "custom"))
+        alg = Algebra(doc["dim"], field, sc)
+        label = doc.get("label", "custom")
+        try:  # a family label stands only on that family's own constants
+            if alg.same_structure(make_family(label, alg.dim, field)):
+                alg.label = label
+        except GradedLeibnizError:
+            pass
+        return alg
 
 
 # -- constructors --------------------------------------------------------
@@ -244,16 +269,14 @@ def lower_central_series(alg: Algebra) -> list[Subspace]:
         prev = series[-1]
         products = []
         for v in prev.rows:
-            for j in range(1, n + 1):
-                w = zero_vector(field, n)
-                hit = False
-                for i in range(1, n + 1):
-                    if v[i - 1]:
-                        for k, c in alg.bracket_basis(i, j):
-                            w[k - 1] = w[k - 1] + c * v[i - 1]
-                            hit = True
-                if hit and any(w):
-                    products.append(w)
+            # [v, e_j] for every j at once, one pass over the constants
+            by_j: dict[int, list[Scalar]] = {}
+            for (i, j), terms in alg.sc.items():
+                if v[i - 1]:
+                    w = by_j.setdefault(j, zero_vector(field, n))
+                    for k, c in terms:
+                        w[k - 1] = w[k - 1] + c * v[i - 1]
+            products += [w for w in by_j.values() if any(w)]
         nxt = Subspace(field, n, products)
         series.append(nxt)
         if nxt == prev:
@@ -283,45 +306,26 @@ def nilpotency_profile(alg: Algebra) -> NilpotencyProfile:
     return NilpotencyProfile(dims, nilpotent, index, null_filiform, filiform)
 
 
+def _bracket_kernel(alg: Algebra, both_sides: bool) -> Subspace:
+    """{x : [e_i, x] = 0 for all i}, and also [x, e_i] = 0 when both_sides."""
+    n = alg.dim
+    rows: dict[tuple, list[Scalar]] = {}
+    for (i, j), terms in alg.sc.items():
+        for k, c in terms:
+            rows.setdefault(("right", i, k), zero_vector(alg.field, n))[j - 1] = c
+            if both_sides:
+                rows.setdefault(("left", j, k), zero_vector(alg.field, n))[i - 1] = c
+    return Subspace(alg.field, n, kernel_basis(list(rows.values()), alg.field, n))
+
+
 def right_annihilator(alg: Algebra) -> Subspace:
     """{x : [y, x] = 0 for all y}, the two-sided ideal of right annihilators."""
-    rows = []
-    for i in range(1, alg.dim + 1):
-        for k in range(1, alg.dim + 1):
-            row = zero_vector(alg.field, alg.dim)
-            hit = False
-            for j in range(1, alg.dim + 1):
-                for kk, c in alg.bracket_basis(i, j):
-                    if kk == k:
-                        row[j - 1] = row[j - 1] + c
-                        hit = True
-            if hit:
-                rows.append(row)
-    return Subspace(alg.field, alg.dim, kernel_basis(rows, alg.field, alg.dim))
+    return _bracket_kernel(alg, both_sides=False)
 
 
 def center(alg: Algebra) -> Subspace:
     """{x : [x, y] = [y, x] = 0 for all y}."""
-    rows = []
-    for i in range(1, alg.dim + 1):
-        for k in range(1, alg.dim + 1):
-            right_row = zero_vector(alg.field, alg.dim)
-            left_row = zero_vector(alg.field, alg.dim)
-            hit_r = hit_l = False
-            for j in range(1, alg.dim + 1):
-                for kk, c in alg.bracket_basis(i, j):
-                    if kk == k:
-                        right_row[j - 1] = right_row[j - 1] + c
-                        hit_r = True
-                for kk, c in alg.bracket_basis(j, i):
-                    if kk == k:
-                        left_row[j - 1] = left_row[j - 1] + c
-                        hit_l = True
-            if hit_r:
-                rows.append(right_row)
-            if hit_l:
-                rows.append(left_row)
-    return Subspace(alg.field, alg.dim, kernel_basis(rows, alg.field, alg.dim))
+    return _bracket_kernel(alg, both_sides=True)
 
 
 def associated_graded(alg: Algebra):
@@ -345,11 +349,9 @@ def associated_graded(alg: Algebra):
     for t, block in enumerate(blocks, start=1):
         degree_of_index += [t] * len(block)
 
-    # Coordinates in the adapted basis: solve c @ P = w for each product.
-    from .linalg import invert, mat_vec
-
-    p_matrix = new_basis  # rows are the new basis vectors
-    p_inv = invert([list(col) for col in zip(*p_matrix)])  # columns are basis vectors
+    # Coordinates in the adapted basis: solve c @ P = w for each product,
+    # where the columns of P are the new basis vectors.
+    p_inv = invert([list(col) for col in zip(*new_basis)])
     if p_inv is None:
         raise RuntimeError("adapted basis failed to be invertible")
 

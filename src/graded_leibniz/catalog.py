@@ -33,7 +33,12 @@ from .fields import QQ, Field
 from .gradings import Grading, coarsen, trivial_grading, universal_grading
 from .groups import AbelianGroup, all_homs
 
+#: generator-homogeneity hypotheses, each implying the ones before it
 HYPOTHESES = ("e1_homog", "e1_e2_homog")
+
+#: the weakest hypothesis under which each family's gradings are all
+#: coarsenings of its universal grading
+FAMILY_HYPOTHESIS = {"nf": "e1_homog", "f1": "e1_e2_homog", "f2": "e1_homog"}
 
 #: families whose grading classification is built in
 CATALOG_FAMILIES = ("nf", "f1", "f2")
@@ -169,8 +174,8 @@ def enumerate_h1_gradings(alg: Algebra, hypothesis: str, group_menu) -> list[Gra
     """
     if hypothesis not in HYPOTHESES:
         raise ValueError(f"hypothesis must be one of {HYPOTHESES}")
-    allowed = ("nf", "f2") if hypothesis == "e1_homog" else ("nf", "f1", "f2")
-    if alg.label not in allowed:
+    needed = FAMILY_HYPOTHESIS.get(alg.label)
+    if needed is None or HYPOTHESES.index(hypothesis) < HYPOTHESES.index(needed):
         raise UnsupportedFamily(
             f"hypothesis {hypothesis!r} does not determine the gradings of {alg.label!r}"
         )

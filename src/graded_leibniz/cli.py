@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .algebras import (
     Algebra,
@@ -24,15 +25,14 @@ from .algebras import (
     nilpotency_profile,
     right_annihilator,
 )
-from .catalog import default_group_menu, enumerate_h1_gradings
+from .catalog import FAMILY_HYPOTHESIS, default_group_menu, enumerate_h1_gradings
 from .errors import GradedLeibnizError
 from .fields import Field, QQ
 from .groups import AbelianGroup
-from .torus import DEFAULT_BUDGET, brute_force_aut, normalizer_equals_torus
+from .torus import DEFAULT_BUDGET, brute_force_aut, family_counts, normalizer_equals_torus
 from .verification import run_all, summarize
 
 _FAMILY_FLAGS = {"nf": "nf", "f1": "f1", "f2": "f2", "lie-l": "lie_l", "lie-q": "lie_q"}
-_HYPOTHESIS = {"nf": "e1_homog", "f2": "e1_homog", "f1": "e1_e2_homog"}
 
 #: assumed throughput for converting a --budget-ms time budget into the
 #: library's search-space budget (matrices/states examined per ms)
@@ -74,7 +74,7 @@ def _load_algebra(args) -> Algebra:
 
 
 def _algebra_header(alg: Algebra) -> dict:
-    return {"family": alg.label, "dim": alg.dim}
+    return {"algebra": {"family": alg.label, "dim": alg.dim}, "field": alg.field.to_json()}
 
 
 def _budget(args) -> int:
@@ -98,8 +98,7 @@ def _cmd_props(args):
     alg = _load_algebra(args)
     profile = nilpotency_profile(alg)
     doc = {
-        "algebra": _algebra_header(alg),
-        "field": alg.field.to_json(),
+        **_algebra_header(alg),
         "leibniz": check_leibniz(alg).ok,
         "antisymmetric": is_antisymmetric(alg),
         "lcs_dims": [space.dim for space in lower_central_series(alg)],
@@ -124,7 +123,7 @@ def _cmd_gradings(args):
             raise UsageError(str(exc)) from exc
     else:
         menu = default_group_menu(alg.dim)
-    hypothesis = _HYPOTHESIS.get(alg.label)
+    hypothesis = FAMILY_HYPOTHESIS.get(alg.label)
     if hypothesis is None:
         raise UsageError(f"grading enumeration is not available for {alg.label!r}")
     found = enumerate_h1_gradings(alg, hypothesis, menu)
@@ -133,35 +132,23 @@ def _cmd_gradings(args):
 
 def _cmd_aut_count(args):
     alg = _load_algebra(args)
-    p = alg.field.p
     if args.brute_force:
         report = brute_force_aut(alg, budget=_budget(args))
-        doc = {
-            "check": "aut-bruteforce",
-            "algebra": _algebra_header(alg),
-            "field": alg.field.to_json(),
-            "count": report.count,
-            "matches_family": report.all_in_family,
-            "elapsed_ms": report.elapsed_ms,
-        }
-        return doc, 1 if report.all_in_family is False else 0
-    if p is None:
-        raise UsageError("the family count formula needs a prime field")
-    if alg.label == "nf":
-        count = (p - 1) * p ** (alg.dim - 1)
-    elif alg.label == "f1":
-        count = (p - 1) ** 2 * p ** (alg.dim - 1)
+        check, count, matches, elapsed = (
+            "aut-bruteforce", report.count, report.all_in_family, report.elapsed_ms)
     else:
-        raise UsageError(f"no automorphism count formula for {alg.label!r}")
+        if alg.field.p is None:
+            raise UsageError("the family count formula needs a prime field")
+        check, (count, _), matches, elapsed = (
+            "aut-family-count", family_counts(alg.label, alg.dim, alg.field.p), None, 0)
     doc = {
-        "check": "aut-family-count",
-        "algebra": _algebra_header(alg),
-        "field": alg.field.to_json(),
+        "check": check,
+        **_algebra_header(alg),
         "count": count,
-        "matches_family": None,
-        "elapsed_ms": 0,
+        "matches_family": matches,
+        "elapsed_ms": elapsed,
     }
-    return doc, 0
+    return doc, 1 if matches is False else 0
 
 
 def _cmd_normalizer(args):
@@ -169,8 +156,7 @@ def _cmd_normalizer(args):
     report = normalizer_equals_torus(alg, budget=_budget(args))
     doc = {
         "check": "normalizer",
-        "algebra": _algebra_header(alg),
-        "field": alg.field.to_json(),
+        **_algebra_header(alg),
         "count": report.normalizer_size,
         "matches_family": report.holds,
         "torus_size": report.torus_size,
@@ -185,8 +171,9 @@ def _cmd_verify_paper(args):
     if threads is None:
         env = os.environ.get("GRADED_LEIBNIZ_THREADS")
         threads = int(env) if env else (os.cpu_count() or 1)
+    start = time.monotonic()
     claims = run_all(max_dim=args.max_dim, threads=threads)
-    doc = summarize(claims)
+    doc = summarize(claims, int((time.monotonic() - start) * 1000))
     return doc, 0 if doc["failed"] == 0 else 1
 
 
@@ -256,10 +243,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = _DISPATCH[args.verb](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GradedLeibnizError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, GradedLeibnizError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(doc, indent=args.json_indent))

@@ -244,13 +244,9 @@ def universal_grading_with_generators(algebra: Algebra, partition=None):
                 rels.add(tuple(vec))
     rel_list = sorted(rels)
 
-    if rel_list:
-        matrix = [[rel[b] for rel in rel_list] for b in range(nblocks)]
-        u, d, _ = smith_normal_form(matrix)
-        diag = [d[i][i] if i < len(rel_list) else 0 for i in range(nblocks)]
-    else:
-        u = [[int(i == j) for j in range(nblocks)] for i in range(nblocks)]
-        diag = [0] * nblocks
+    # with no relations the matrix has no columns and U is the identity
+    u, d, _ = smith_normal_form([[rel[b] for rel in rel_list] for b in range(nblocks)])
+    diag = [d[i][i] if i < len(rel_list) else 0 for i in range(nblocks)]
 
     free_rows = [i for i in range(nblocks) if diag[i] == 0]
     tors_rows = [i for i in range(nblocks) if diag[i] >= 2]

@@ -2,11 +2,17 @@
 
 Vectors are lists of Scalar; matrices are lists of row vectors.
 All results are canonical (reduced row echelon form) so subspace
-equality is plain row comparison.
+equality is plain row comparison.  Row reduction and inversion over Q
+and F_p (here, in snf.int_matrix_inverse and in the torus searches) all
+run through one kernel, `gauss_jordan`, on raw values (Fractions over
+Q, ints mod p); Scalars appear only in the wrappers around it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from .errors import FieldMismatch
 from .fields import Field, Scalar
 
 
@@ -39,30 +45,73 @@ def column(m: list[list[Scalar]], j: int) -> list[Scalar]:
     return [row[j - 1] for row in m]
 
 
-def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, 0-based pivot columns)."""
-    rows = [row[:] for row in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+def gauss_jordan(rows: list[list], p: int | None = None,
+                 square: bool = False) -> tuple[list[list], list[int]] | None:
+    """Reduced row echelon form of raw values; returns (nonzero rows, 0-based pivots).
+
+    Entries are Fractions when p is None (ints are promoted to Fractions)
+    and ints reduced mod p otherwise.  With square=True every row must gain a
+    pivot in the leading columns; the first column without one returns
+    None at once, which is what makes inverting singular matrices cheap.
+    """
+    if p is None:
+        rows = [[Fraction(x) for x in row] for row in rows]
+    else:
+        rows = [[x % p for x in row] for row in rows]
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+    for c in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
+            if square:
+                return None
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if p is None:
+            inv = 1 / rows[r][c]
+            prow = rows[r] = [x * inv for x in rows[r]]
+        else:
+            inv = pow(rows[r][c], -1, p)
+            prow = rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                if p is None:
+                    rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+                else:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return rows[:r], pivots
+
+
+def raw_inverse(m: list[list], p: int | None = None) -> list[list] | None:
+    """Inverse of a square matrix of raw values (see gauss_jordan), or None when singular."""
+    n = len(m)
+    aug = [list(row) + [0] * n for row in m]
+    for i in range(n):
+        aug[i][n + i] = 1
+    reduced = gauss_jordan(aug, p, square=True)
+    return None if reduced is None else [row[n:] for row in reduced[0]]
+
+
+def _values(m: list[list[Scalar]], field: Field) -> list[list]:
+    """Raw values of a Scalar matrix whose entries must all lie in `field`."""
+    if any(s.field is not field and s.field != field for row in m for s in row):
+        raise FieldMismatch(f"matrix over {field!r} holds scalars of another field")
+    return [[s.value for s in row] for row in m]
+
+
+def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, 0-based pivot columns)."""
+    if not rows or not rows[0]:
+        return [], []
+    field = rows[0][0].field
+    reduced, pivots = gauss_jordan(_values(rows, field), field.p)
+    return [[Scalar(field, v) for v in row] for row in reduced], pivots
 
 
 def kernel_basis(m: list[list[Scalar]], field: Field, ncols: int) -> list[list[Scalar]]:
@@ -82,13 +131,9 @@ def kernel_basis(m: list[list[Scalar]], field: Field, ncols: int) -> list[list[S
 
 def invert(m: list[list[Scalar]]) -> list[list[Scalar]] | None:
     """Matrix inverse over the field, or None when singular."""
-    n = len(m)
     field = m[0][0].field
-    aug = [list(row) + unit_vector(field, n, i + 1) for i, row in enumerate(m)]
-    reduced, pivots = rref(aug)
-    if len(reduced) < n or pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in reduced[:n]]
+    inv = raw_inverse(_values(m, field), field.p)
+    return None if inv is None else [[Scalar(field, v) for v in row] for row in inv]
 
 
 class Subspace:
@@ -136,14 +181,10 @@ class Subspace:
 
     def basis_complement_in(self, larger: "Subspace") -> list[list[Scalar]]:
         """Rows of `larger` extending this subspace's basis (representatives mod self)."""
-        stack = [r[:] for r in self.rows]
-        rank = self.dim
-        out = []
+        stack, out = list(self.rows), []
         for v in larger.rows:
-            trial, _ = rref(stack + [v])
-            if len(trial) > rank:
+            if len(rref(stack + [v])[0]) > len(stack):
                 stack.append(v)
-                rank += 1
                 out.append(v)
         return out
 

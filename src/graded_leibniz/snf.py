@@ -6,6 +6,8 @@ witnesses so callers can verify U @ M @ V == D exactly.
 
 from __future__ import annotations
 
+from .linalg import raw_inverse
+
 
 def int_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -185,23 +187,9 @@ def int_matrix_inverse(mat: list[list[int]]) -> list[list[int]] | None:
     Returns None when the matrix is singular; raises ValueError when it
     is invertible over the rationals but not over the integers.
     """
-    from fractions import Fraction
-
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            return None
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    out = [row[n:] for row in a]
+    out = raw_inverse(mat)
+    if out is None:
+        return None
     if any(x.denominator != 1 for row in out for x in row):
         raise ValueError("matrix is not invertible over the integers")
     return [[int(x) for x in row] for row in out]

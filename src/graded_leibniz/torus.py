@@ -38,7 +38,7 @@ from .errors import (
 from .fields import Field, Scalar
 from .gradings import Grading
 from .groups import AbelianGroup, GroupElem, all_homs, apply_hom
-from .linalg import column, invert, mat_vec
+from .linalg import column, identity_matrix, invert, mat_vec, raw_inverse
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -76,6 +76,19 @@ class Specialization:
 
     target: AbelianGroup
     images: tuple[GroupElem, ...]
+
+
+def family_counts(family: str, n: int, p: int) -> tuple[int, int]:
+    """(|Aut|, |torus|) over F_p: (p-1)^r p^(n-1) and (p-1)^r with torus rank r.
+
+    The ranks are written out, not read off weight_system, so the
+    searches are checked against a formula they do not share.
+    """
+    ranks = {"nf": 1, "f1": 2}
+    if family not in ranks:
+        raise UnsupportedFamily(f"no automorphism count formula for {family!r}")
+    torus = (p - 1) ** ranks[family]
+    return torus * p ** (n - 1), torus
 
 
 def weight_system(family: str, n: int) -> WeightSystem:
@@ -136,15 +149,11 @@ def is_automorphism(alg: Algebra, m: list[list[Scalar]]) -> bool:
     if invert(m) is None:
         return False
     cols = [column(m, i) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            image_of_product = [alg.field.zero()] * n
-            for k, c in alg.bracket_basis(i, j):
-                col = cols[k - 1]
-                image_of_product = [x + c * y for x, y in zip(image_of_product, col)]
-            if image_of_product != alg.product(cols[i - 1], cols[j - 1]):
-                return False
-    return True
+    basis = identity_matrix(alg.field, n)
+    return all(
+        mat_vec(m, alg.product(basis[i], basis[j])) == alg.product(cols[i], cols[j])
+        for i in range(n) for j in range(n)
+    )
 
 
 def torus_matrix(field: Field, ws: WeightSystem, params: tuple[Scalar, ...]) -> list[list[Scalar]]:
@@ -175,39 +184,6 @@ class AutSearchReport:
     elapsed_ms: int
 
 
-def _int_sc(alg: Algebra) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-    return {
-        key: tuple((k, c.value) for k, c in terms) for key, terms in alg.sc.items()
-    }
-
-
-def _int_product(n: int, p: int, sc, x, y) -> tuple[int, ...]:
-    out = [0] * n
-    for (i, j), terms in sc.items():
-        f = x[i - 1] * y[j - 1]
-        if f % p:
-            for k, c in terms:
-                out[k - 1] = (out[k - 1] + c * f) % p
-    return tuple(out)
-
-
-def _int_inverse_mod(m, p: int):
-    n = len(m)
-    a = [[m[i][j] % p for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            return None
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = pow(a[c][c], -1, p)
-        a[c] = [x * inv % p for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
-
-
 def _family_param_space(alg: Algebra):
     """All (family parametrization) automorphism matrices over F_p, as
     int tuples, keyed and deduplicated by matrix.  None when the family
@@ -217,7 +193,7 @@ def _family_param_space(alg: Algebra):
     field = alg.field
     p = field.p
     n = alg.dim
-    units = [field.scalar(v) for v in range(1, p)]
+    units = field.units()
     everything = [field.scalar(v) for v in range(p)]
     matrices = set()
     if alg.label == "nf":
@@ -258,7 +234,8 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
     if required > budget:
         raise BudgetExceeded(required, budget)
     start = time.monotonic()
-    sc = _int_sc(alg)
+    sc = alg.raw_sc
+    product = alg.raw_product
 
     by_depth: dict[int, list] = {d: [] for d in range(1, n + 1)}
     for a in range(1, n + 1):
@@ -284,18 +261,18 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
             ck = cols[k]
             for r in range(n):
                 lhs[r] += c * ck[r]
-        rhs = _int_product(n, p, sc, cols[a], cols[b])
+        rhs = product(cols[a], cols[b])
         return all(x % p == y for x, y in zip(lhs, rhs))
 
     def walk(d: int) -> None:
         if d > n:
             matrix = tuple(tuple(cols[i][r] for i in range(1, n + 1)) for r in range(n))
-            if _int_inverse_mod(matrix, p) is not None:
+            if raw_inverse(matrix, p) is not None:
                 found.append(matrix)
             return
         if d in forced:
             a, b, cinv = forced[d]
-            prod = _int_product(n, p, sc, cols[a], cols[b])
+            prod = product(cols[a], cols[b])
             candidates = [tuple(x * cinv % p for x in prod)]
         else:
             candidates = all_columns
@@ -349,7 +326,7 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     if alg.label not in TORUS_FAMILIES:
         raise UnsupportedFamily(f"no automorphism parametrization for {alg.label!r}")
     n = alg.dim
-    family_size = (p - 1) * p ** (n - 1) if alg.label == "nf" else (p - 1) ** 2 * p ** (n - 1)
+    family_size, _ = family_counts(alg.label, n, p)
     if family_size > budget:
         raise BudgetExceeded(family_size, budget)
     start = time.monotonic()
@@ -360,7 +337,7 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
         classes.setdefault(w, []).append(k)
 
     def normalizes(m) -> bool:
-        minv = _int_inverse_mod(m, p)
+        minv = raw_inverse(m, p)
         for i in range(n):
             wi = ws.weights[i]
             for j in range(n):
@@ -373,11 +350,8 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
 
     normalizer = {m for m in _family_param_space(alg) if normalizes(m)}
 
-    field = alg.field
-    units = [field.scalar(v) for v in range(1, p)]
-    torus = set()
-    for params in itertools.product(units, repeat=ws.torus_rank):
-        torus.add(_matrix_key(torus_matrix(field, ws, params)))
+    torus = {_matrix_key(torus_matrix(alg.field, ws, params))
+             for params in itertools.product(alg.field.units(), repeat=ws.torus_rank)}
 
     elapsed = int((time.monotonic() - start) * 1000)
     return NormalizerReport(normalizer == torus, len(normalizer), len(torus), elapsed)

@@ -206,6 +206,15 @@ def test_algebra_json_round_trip():
     assert Algebra.from_json(doc).same_structure(custom)
 
 
+def test_from_json_keeps_family_label_only_on_family_structure():
+    doc = make_family("f1", 4, Field(5)).to_json()
+    assert Algebra.from_json(doc).label == "f1"
+    for label in ("nf", "lie_q", "no-such-family"):
+        assert Algebra.from_json(dict(doc, label=label)).label == "custom"
+    doc["sc"] = doc["sc"][1:]
+    assert Algebra.from_json(doc).label == "custom"
+
+
 def test_algebra_index_validation():
     with pytest.raises(ValueError):
         Algebra(2, QQ, {(0, 1): [(2, 1)]})

@@ -1,11 +1,14 @@
 """Command line interface: verbs, flags, JSON output, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import graded_leibniz
 from graded_leibniz.cli import main
 
 
@@ -13,6 +16,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """Run `python -m graded_leibniz.cli` in a child that imports this same package,
+    installed or not."""
+    root = os.path.dirname(os.path.dirname(graded_leibniz.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "graded_leibniz.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def run_json(capsys, *argv):
@@ -130,6 +146,14 @@ def test_verify_paper_small(capsys):
     assert {"criterion", "claim", "family", "dim", "field", "pass", "detail", "elapsed_ms"} <= set(first)
 
 
+def test_verify_paper_elapsed_is_wall_time(capsys):
+    start = time.monotonic()
+    code, doc = run_json(capsys, "verify-paper", "--max-dim", "3", "--threads", "2")
+    wall_ms = (time.monotonic() - start) * 1000
+    assert code == 0
+    assert doc["elapsed_ms"] <= wall_ms
+
+
 def test_json_indent_flag(capsys):
     code, out, _ = run_cli(capsys, "--json-indent", "2", "check", "--family", "nf", "--dim", "3")
     assert code == 0 and out.startswith("{\n  ")
@@ -176,20 +200,12 @@ def test_budget_flag_converts_to_search_budget(capsys):
 
 
 def test_argparse_usage_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "graded_leibniz.cli", "no-such-verb"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("no-such-verb")
     assert proc.returncode == 2
 
 
 def test_module_invocation_matches_spec_example():
-    proc = subprocess.run(
-        [sys.executable, "-m", "graded_leibniz.cli", "check", "--family", "nf", "--dim", "5"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("check", "--family", "nf", "--dim", "5")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {
         "leibniz": True,
@@ -205,3 +221,15 @@ def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("GRADED_LEIBNIZ_THREADS", "2")
     code, doc = run_json(capsys, "verify-paper", "--max-dim", "2")
     assert code == 0 and doc["failed"] == 0
+
+
+def test_family_label_needs_the_family_structure(capsys, tmp_path):
+    # an nf export cut down to one structure constant is no longer nf, so
+    # neither the normalizer nor the nf grading hypothesis may apply to it
+    _, doc = run_json(capsys, "export", "--family", "nf", "--dim", "4", "--field", "F3")
+    doc["sc"] = doc["sc"][:1]
+    assert doc["label"] == "nf"
+    path = tmp_path / "fake_nf.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "normalizer", "--input", str(path))[0] == 2
+    assert run_cli(capsys, "gradings", "--input", str(path))[0] == 2

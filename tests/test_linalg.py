@@ -1,21 +1,26 @@
 """Row reduction, kernels, inverses, canonical subspaces."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graded_leibniz import Field, QQ, Subspace
+from graded_leibniz import Field, FieldMismatch, QQ, Subspace
 from graded_leibniz.linalg import (
     column,
+    gauss_jordan,
     identity_matrix,
     invert,
     kernel_basis,
     mat_mul,
     mat_vec,
+    raw_inverse,
     rref,
     unit_vector,
     zero_vector,
 )
+from graded_leibniz.snf import det_int, int_mat_mul
 
 F5 = Field(5)
 
@@ -87,6 +92,16 @@ def test_invert_round_trip(m):
         assert mat_mul(inv, m) == identity_matrix(F5, n)
 
 
+def test_mixed_fields_are_rejected():
+    mixed = [[QQ.one(), F5.one()], [QQ.zero(), QQ.one()]]
+    with pytest.raises(FieldMismatch):
+        rref(mixed)
+    with pytest.raises(FieldMismatch):
+        invert(mixed)
+    # an equal but distinct field object is the same field
+    assert rref([[Field(5).one(), F5.one()]])[1] == [0]
+
+
 def test_subspace_equality_is_basis_independent():
     a = Subspace(QQ, 3, mat(QQ, [[1, 0, 1], [0, 1, 1]]))
     b = Subspace(QQ, 3, mat(QQ, [[1, 1, 2], [1, -1, 0]]))
@@ -116,3 +131,43 @@ def test_basis_complement():
 def test_vector_length_mismatch_rejected():
     with pytest.raises(ValueError):
         Subspace(QQ, 3, mat(QQ, [[1, 0]]))
+
+
+# -- the raw Gauss-Jordan kernel ----------------------------------------------
+
+
+square_int_matrix = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+)
+
+
+@given(square_int_matrix, st.sampled_from([2, 3, 5, 7]))
+def test_kernel_inverse_mod_p(m, p):
+    inv = raw_inverse(m, p)
+    assert (inv is None) == (det_int(m) % p == 0)
+    if inv is not None:
+        n = len(m)
+        product = [[x % p for x in row] for row in int_mat_mul(m, inv)]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@given(square_int_matrix)
+def test_kernel_inverse_over_q_is_exact(m):
+    inv = raw_inverse(m)
+    assert (inv is None) == (det_int(m) == 0)
+    if inv is not None:
+        n = len(m)
+        assert all(type(x) is Fraction for row in inv for x in row)
+        assert int_mat_mul(m, inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced, _ = gauss_jordan(m)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+def test_kernel_stops_at_first_free_column_only_when_square():
+    singular = [[0, 1], [0, 1]]
+    assert gauss_jordan(singular, 5, square=True) is None
+    assert gauss_jordan(singular, 5) == ([[0, 1]], [1])
+    assert gauss_jordan([], 5) == ([], [])
