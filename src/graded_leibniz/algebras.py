@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .fields import QQ, Field, Scalar
-from .linalg import Subspace, invert, kernel_basis, mat_vec, zero_vector
+from .linalg import Subspace, invert, kernel_basis, mat_vec
 
 FAMILIES = ("nf", "f1", "f2", "lie_l", "lie_q")
 
@@ -41,51 +41,48 @@ FAMILIES = ("nf", "f1", "f2", "lie_l", "lie_q")
 class Algebra:
     """An algebra over an exact field, defined by structure constants."""
 
-    __slots__ = ("dim", "field", "sc", "raw_sc", "label")
+    __slots__ = ("dim", "field", "sc", "label")
 
     def __init__(self, dim: int, field: Field, sc: dict, label: str = "custom"):
+        if type(dim) is not int:
+            raise ValueError(f"dimension {dim!r} is not an integer")
         if dim < 1:
             raise DimensionTooSmall("dimension must be at least 1")
         self.dim = dim
         self.field = field
         self.label = label
-        clean: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
+        #: (i, j) -> ((k, c), ...) with raw c: Fractions over Q, ints in [0, p) over F_p
+        self.sc: dict[tuple[int, int], tuple[tuple[int, Fraction | int], ...]] = {}
         for (i, j), terms in sc.items():
-            if not (1 <= i <= dim and 1 <= j <= dim):
+            if not (type(i) is int and type(j) is int and 1 <= i <= dim and 1 <= j <= dim):
                 raise ValueError(f"structure constant index ({i},{j}) out of range")
             acc: dict[int, Scalar] = {}
             for k, c in terms:
-                if not (1 <= k <= dim):
+                if not (type(k) is int and 1 <= k <= dim):
                     raise ValueError(f"structure constant target {k} out of range")
-                c = field.scalar(c)
-                s = acc.get(k, field.zero()) + c
-                acc[k] = s
-            cleaned = tuple((k, c) for k, c in sorted(acc.items()) if c)
+                acc[k] = acc.get(k, field.zero()) + field.scalar(c)
+            cleaned = tuple((k, c.value) for k, c in sorted(acc.items()) if c)
             if cleaned:
-                clean[(i, j)] = cleaned
-        self.sc = clean
-        #: the same constants as raw values (Fractions over Q, ints mod p)
-        self.raw_sc = {key: tuple((k, c.value) for k, c in terms) for key, terms in clean.items()}
+                self.sc[(i, j)] = cleaned
 
     # -- basic structure -------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         """[e_i, e_j] as a sparse list of (index, coefficient)."""
-        return self.sc.get((i, j), ())
+        return tuple((k, Scalar(self.field, c)) for k, c in self.sc.get((i, j), ()))
 
     def product(self, x: list[Scalar], y: list[Scalar]) -> list[Scalar]:
         """Bracket of two coefficient vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coefficient vector length does not match the dimension")
-        field = self.field
         out = self.raw_product([s.value for s in x], [s.value for s in y])
-        return [Scalar(field, v) for v in out]
+        return [Scalar(self.field, v) for v in out]
 
     def raw_product(self, x: list, y: list) -> list:
         """Bracket of two raw coefficient vectors (Fractions over Q, ints in [0, p) over F_p)."""
         p = self.field.p
         out = [Fraction(0) if p is None else 0] * self.dim
-        for (i, j), terms in self.raw_sc.items():
+        for (i, j), terms in self.sc.items():
             f = x[i - 1] * y[j - 1]
             if f:
                 for k, c in terms:
@@ -110,9 +107,8 @@ class Algebra:
     def to_json(self) -> dict:
         entries = []
         for (i, j) in sorted(self.sc):
-            entries.append(
-                {"i": i, "j": j, "terms": [{"k": k, "c": c.to_json()} for k, c in self.sc[(i, j)]]}
-            )
+            terms = [{"k": k, "c": c.to_json()} for k, c in self.bracket_basis(i, j)]
+            entries.append({"i": i, "j": j, "terms": terms})
         doc = {"dim": self.dim, "field": self.field.to_json(), "sc": entries}
         if self.label != "custom":
             doc["label"] = self.label
@@ -126,7 +122,7 @@ class Algebra:
             key = (entry["i"], entry["j"])
             if key in sc:
                 raise ValueError(f"duplicate structure constant entry for {key}")
-            sc[key] = [(t["k"], field.scalar(t["c"])) for t in entry["terms"]]
+            sc[key] = [(t["k"], t["c"]) for t in entry["terms"]]
         alg = Algebra(doc["dim"], field, sc)
         label = doc.get("label", "custom")
         try:  # a family label stands only on that family's own constants
@@ -181,9 +177,7 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     """Direct sum; b's basis indices are shifted past a's."""
     if a.field != b.field:
         raise FieldMismatch("direct summands live over different fields")
-    sc: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-    for (i, j), terms in a.sc.items():
-        sc[(i, j)] = list(terms)
+    sc = dict(a.sc)
     d = a.dim
     for (i, j), terms in b.sc.items():
         sc[(i + d, j + d)] = [(k + d, c) for k, c in terms]
@@ -199,62 +193,54 @@ class LeibnizReport:
     first_violation: tuple[int, int, int] | None = None
 
 
-def _sparse_bracket(alg: Algebra, u: dict[int, Scalar], v: dict[int, Scalar]) -> dict[int, Scalar]:
-    out: dict[int, Scalar] = {}
-    for i, cu in u.items():
-        for j, cv in v.items():
-            f = cu * cv
-            if not f:
-                continue
-            for k, c in alg.bracket_basis(i, j):
-                s = out.get(k, alg.field.zero()) + c * f
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-    return out
+def _is_zero_sum(rows, p: int | None) -> bool:
+    """True when the sum of c * row over the (row, c) pairs vanishes; rows are rows of sc."""
+    total: dict[int, Fraction | int] = {}
+    for row, c in rows:
+        for k, d in row:
+            total[k] = total.get(k, 0) + c * d
+    return not any(v if p is None else v % p for v in total.values())
 
 
 def check_leibniz(alg: Algebra) -> LeibnizReport:
-    """Verify [x, [y, z]] == [[x, y], z] - [[x, z], y] on all basis triples.
+    """Verify [x, [y, z]] - [[x, y], z] + [[x, z], y] == 0 on all basis triples.
 
-    Bilinearity makes the basis check sufficient.  Returns the first
-    violating triple (x, y, z) in lexicographic order, if any.
+    Bilinearity makes the basis check sufficient, and a bracket of two
+    basis vectors is a row of alg.sc, so each side is a sum of rows.
+    Returns the first violating triple (x, y, z) in lexicographic order,
+    if any.
     """
-    one = alg.field.one()
-    basis = [{i: one} for i in range(1, alg.dim + 1)]
-    for x in range(1, alg.dim + 1):
-        ex = basis[x - 1]
-        for y in range(1, alg.dim + 1):
-            ey = basis[y - 1]
-            xy = _sparse_bracket(alg, ex, ey)
-            for z in range(1, alg.dim + 1):
-                ez = basis[z - 1]
-                lhs = _sparse_bracket(alg, ex, _sparse_bracket(alg, ey, ez))
-                rhs = _sparse_bracket(alg, xy, ez)
-                for k, c in _sparse_bracket(alg, _sparse_bracket(alg, ex, ez), ey).items():
-                    s = rhs.get(k, alg.field.zero()) - c
-                    if s:
-                        rhs[k] = s
-                    elif k in rhs:
-                        del rhs[k]
-                if lhs != rhs:
+    sc, p, n = alg.sc, alg.field.p, alg.dim
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            xy = sc.get((x, y), ())
+            for z in range(1, n + 1):
+                rows = [(sc.get((x, k), ()), c) for k, c in sc.get((y, z), ())]
+                rows += [(sc.get((k, z), ()), -c) for k, c in xy]
+                rows += [(sc.get((k, y), ()), c) for k, c in sc.get((x, z), ())]
+                if not _is_zero_sum(rows, p):
                     return LeibnizReport(False, (x, y, z))
     return LeibnizReport(True, None)
 
 
 def is_antisymmetric(alg: Algebra) -> bool:
     """True when [e_i, e_j] == -[e_j, e_i] for all basis pairs (so [x,x] = 0 too)."""
-    for i in range(1, alg.dim + 1):
-        for j in range(i, alg.dim + 1):
-            left = dict(alg.bracket_basis(i, j))
-            right = {k: -c for k, c in alg.bracket_basis(j, i)}
-            if left != right:
-                return False
-    return True
+    sc = alg.sc
+    return all(
+        _is_zero_sum([(sc.get((i, j), ()), 1), (sc.get((j, i), ()), 1)], alg.field.p)
+        for i in range(1, alg.dim + 1)
+        for j in range(i, alg.dim + 1)
+    )
 
 
 # -- series and invariant subspaces --------------------------------------
+
+
+def _scalar_row(field: Field, zero: Scalar, raw: list) -> list[Scalar]:
+    """Scalars of a raw row (reduced mod p over F_p), sharing `zero` for zero entries."""
+    if field.p is not None:
+        raw = [x % field.p for x in raw]
+    return [Scalar(field, x) if x else zero for x in raw]
 
 
 def lower_central_series(alg: Algebra) -> list[Subspace]:
@@ -262,21 +248,23 @@ def lower_central_series(alg: Algebra) -> list[Subspace]:
 
     The first repeated term is kept as the non-nilpotency witness.
     """
-    field = alg.field
-    n = alg.dim
+    field, n = alg.field, alg.dim
+    zero = field.zero()
     series = [Subspace.full(field, n)]
     while not series[-1].is_zero() and len(series) <= n + 1:
         prev = series[-1]
         products = []
         for v in prev.rows:
+            v = [s.value for s in v]
             # [v, e_j] for every j at once, one pass over the constants
-            by_j: dict[int, list[Scalar]] = {}
+            by_j: dict[int, list] = {}
             for (i, j), terms in alg.sc.items():
                 if v[i - 1]:
-                    w = by_j.setdefault(j, zero_vector(field, n))
+                    w = by_j.setdefault(j, [0] * n)
                     for k, c in terms:
-                        w[k - 1] = w[k - 1] + c * v[i - 1]
-            products += [w for w in by_j.values() if any(w)]
+                        w[k - 1] += c * v[i - 1]
+            rows = (_scalar_row(field, zero, w) for w in by_j.values())
+            products += [row for row in rows if any(row)]
         nxt = Subspace(field, n, products)
         series.append(nxt)
         if nxt == prev:
@@ -308,14 +296,16 @@ def nilpotency_profile(alg: Algebra) -> NilpotencyProfile:
 
 def _bracket_kernel(alg: Algebra, both_sides: bool) -> Subspace:
     """{x : [e_i, x] = 0 for all i}, and also [x, e_i] = 0 when both_sides."""
-    n = alg.dim
-    rows: dict[tuple, list[Scalar]] = {}
+    n, field = alg.dim, alg.field
+    rows: dict[tuple, list] = {}
     for (i, j), terms in alg.sc.items():
         for k, c in terms:
-            rows.setdefault(("right", i, k), zero_vector(alg.field, n))[j - 1] = c
+            rows.setdefault(("right", i, k), [0] * n)[j - 1] = c
             if both_sides:
-                rows.setdefault(("left", j, k), zero_vector(alg.field, n))[i - 1] = c
-    return Subspace(alg.field, n, kernel_basis(list(rows.values()), alg.field, n))
+                rows.setdefault(("left", j, k), [0] * n)[i - 1] = c
+    zero = field.zero()
+    matrix = [_scalar_row(field, zero, row) for row in rows.values()]
+    return Subspace(field, n, kernel_basis(matrix, field, n))
 
 
 def right_annihilator(alg: Algebra) -> Subspace:

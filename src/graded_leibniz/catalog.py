@@ -214,7 +214,7 @@ def compare(found, expected) -> EnumerationReport:
         a, b = found[0].algebra, exp_gradings[0].algebra
         # labels may differ (e.g. a direct sum rebuilt against a named
         # family); the multiplication tables must not
-        if a.dim != b.dim or a.sc != b.sc:
+        if not a.same_structure(b):
             raise DifferentAlgebras("cannot compare gradings of different algebras")
     found_keys = {g.partition() for g in found}
     expected_keys = {g.partition() for g in exp_gradings}

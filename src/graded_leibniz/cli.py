@@ -20,7 +20,6 @@ from .algebras import (
     center,
     check_leibniz,
     is_antisymmetric,
-    lower_central_series,
     make_family,
     nilpotency_profile,
     right_annihilator,
@@ -101,7 +100,7 @@ def _cmd_props(args):
         **_algebra_header(alg),
         "leibniz": check_leibniz(alg).ok,
         "antisymmetric": is_antisymmetric(alg),
-        "lcs_dims": [space.dim for space in lower_central_series(alg)],
+        "lcs_dims": list(profile.dims),
         "nilpotent": profile.nilpotent,
         "nilpotency_index": profile.index,
         "null_filiform": profile.null_filiform,

@@ -59,13 +59,20 @@ class Field:
         return "Q" if self.p is None else f"F{self.p}"
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, 'a/b' string, or same-field Scalar."""
+        """Coerce an int, Fraction, 'a/b' string, or same-field Scalar.
+
+        Floats and bools are refused: neither is exact field data."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"scalar over {value.field!r} used in {self!r}")
             return value
+        if isinstance(value, (bool, float)):
+            raise ValueError(f"{value!r} is not an exact scalar (use an int, a Fraction or 'a/b')")
         if isinstance(value, str):
-            value = Fraction(value)
+            try:
+                value = Fraction(value)
+            except ZeroDivisionError as exc:
+                raise DivisionByZero(f"zero denominator in {value!r}") from exc
         if self.p is None:
             return Scalar(self, Fraction(value))
         if isinstance(value, Fraction):

@@ -234,7 +234,7 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
     if required > budget:
         raise BudgetExceeded(required, budget)
     start = time.monotonic()
-    sc = alg.raw_sc
+    sc = alg.sc
     product = alg.raw_product
 
     by_depth: dict[int, list] = {d: [] for d in range(1, n + 1)}

@@ -1,5 +1,8 @@
 """Structure constant algebras: families, identities, invariants."""
 
+import json
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from graded_leibniz import (
     right_annihilator,
     verify_grading,
 )
+from graded_leibniz.fields import Scalar
 from graded_leibniz.linalg import unit_vector
 
 F3 = Field(3)
@@ -222,6 +226,16 @@ def test_algebra_index_validation():
         Algebra(2, QQ, {(1, 1): [(3, 1)]})
 
 
+def test_algebra_refuses_non_integer_dim_and_indices():
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError):
+            Algebra(bad, QQ, {})
+        with pytest.raises(ValueError):
+            Algebra(2, QQ, {(1, bad): [(2, 1)]})
+        with pytest.raises(ValueError):
+            Algebra(2, QQ, {(1, 1): [(bad, 1)]})
+
+
 def test_structure_constants_cancel():
     alg = Algebra(2, QQ, {(1, 1): [(2, 1), (2, -1)]})
     assert alg.bracket_basis(1, 1) == ()
@@ -279,3 +293,82 @@ def test_product_matches_basis_expansion(data):
             for k, c in alg.bracket_basis(i, j):
                 expected[k - 1] = expected[k - 1] + c * f
     assert alg.product(x, y) == expected
+
+
+#: constants that cancel mod p (p + 1 and -1 sum to 0 in F_p) or in Q
+_CONSTANTS = {
+    None: [1, -1, 2, Fraction(1, 2), "-3/2"],
+    2: [1, -1, 3, 2],
+    3: [1, -1, 4, 2, 3],
+    5: [1, -1, 6, 4, 5, "1/2"],
+}
+
+
+@st.composite
+def random_algebra(draw):
+    """An algebra of dimension at most 4 over Q, F2, F3 or F5, sparse enough
+    that the Leibniz identity often holds."""
+    p = draw(st.sampled_from(sorted(_CONSTANTS, key=str)))
+    field = QQ if p is None else Field(p)
+    n = draw(st.integers(min_value=1, max_value=4))
+    index = st.integers(min_value=1, max_value=n)
+    term = st.tuples(index, st.sampled_from(_CONSTANTS[p]))
+    keys = draw(st.lists(st.tuples(index, index), max_size=n + 1, unique=True))
+    return Algebra(n, field, {key: draw(st.lists(term, min_size=1, max_size=3)) for key in keys})
+
+
+def _basis(alg):
+    return [unit_vector(alg.field, alg.dim, i) for i in range(1, alg.dim + 1)]
+
+
+def reference_leibniz_violation(alg):
+    """First (x, y, z) in lexicographic order with [x,[y,z]] != [[x,y],z] - [[x,z],y]."""
+    e, bracket = _basis(alg), alg.product
+    for x in range(alg.dim):
+        for y in range(alg.dim):
+            for z in range(alg.dim):
+                lhs = bracket(e[x], bracket(e[y], e[z]))
+                first = bracket(bracket(e[x], e[y]), e[z])
+                second = bracket(bracket(e[x], e[z]), e[y])
+                if lhs != [a - b for a, b in zip(first, second)]:
+                    return (x + 1, y + 1, z + 1)
+    return None
+
+
+@given(random_algebra())
+@settings(max_examples=150, deadline=None)
+def test_check_leibniz_matches_definition(alg):
+    report = check_leibniz(alg)
+    expected = reference_leibniz_violation(alg)
+    assert report.ok == (expected is None)
+    assert report.first_violation == expected
+
+
+@given(random_algebra())
+@settings(max_examples=100, deadline=None)
+def test_is_antisymmetric_matches_definition(alg):
+    e, bracket = _basis(alg), alg.product
+    expected = all(
+        bracket(u, v) == [-c for c in bracket(v, u)] for u in e for v in e
+    )
+    assert is_antisymmetric(alg) == expected
+
+
+@given(random_algebra())
+@settings(max_examples=100, deadline=None)
+def test_json_round_trip_random(alg):
+    doc = json.loads(json.dumps(alg.to_json()))
+    assert Algebra.from_json(doc).same_structure(alg)
+
+
+@given(random_algebra())
+@settings(max_examples=100, deadline=None)
+def test_constants_raw_inside_scalars_outside(alg):
+    p = alg.field.p
+    for terms in alg.sc.values():
+        for _, c in terms:
+            assert isinstance(c, Fraction) if p is None else (type(c) is int and 0 < c < p)
+    for i in range(1, alg.dim + 1):
+        for j in range(1, alg.dim + 1):
+            for _, c in alg.bracket_basis(i, j):
+                assert isinstance(c, Scalar) and c.field == alg.field and c

@@ -233,3 +233,26 @@ def test_family_label_needs_the_family_structure(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, "normalizer", "--input", str(path))[0] == 2
     assert run_cli(capsys, "gradings", "--input", str(path))[0] == 2
+
+
+def _one_constant_doc(c, dim="2", field='{"kind": "Q"}', k="2"):
+    """JSON text of a document with the single constant [e_1, e_1] = c e_k."""
+    return (f'{{"dim": {dim}, "field": {field}, '
+            f'"sc": [{{"i": 1, "j": 1, "terms": [{{"k": {k}, "c": {c}}}]}}]}}')
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_one_constant_doc("1.5", field='{"kind": "Fp", "p": 5}'), id="float-c-F5"),
+    pytest.param(_one_constant_doc('"1/0"'), id="zero-denominator"),
+    pytest.param(_one_constant_doc("1e400"), id="overflowing-float"),
+    pytest.param(_one_constant_doc("1", dim="2.5"), id="float-dim"),
+    pytest.param(_one_constant_doc("true"), id="bool-c"),
+    pytest.param(_one_constant_doc("1", k="2.0"), id="float-target"),
+])
+def test_bad_constants_exit_two(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check", "--input", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

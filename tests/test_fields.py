@@ -56,6 +56,20 @@ def test_scalar_coercion_rejects_bad_denominator():
         Field(5).scalar(Fraction(1, 5))
 
 
+def test_scalar_coercion_refuses_inexact_values():
+    # a float or a bool is not field data: 1.5 must not truncate to 1 mod p
+    for field in (QQ, Field(5)):
+        for bad in (1.5, 2.0, float("inf"), True, False):
+            with pytest.raises(ValueError):
+                field.scalar(bad)
+
+
+def test_scalar_coercion_zero_denominator():
+    for field in (QQ, Field(5)):
+        with pytest.raises(DivisionByZero):
+            field.scalar("1/0")
+
+
 def test_cross_field_mixing_raises():
     with pytest.raises(FieldMismatch):
         QQ.one() + Field(3).one()

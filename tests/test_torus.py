@@ -230,7 +230,7 @@ def raw_scan(alg):
     """
     p = alg.field.p
     n = alg.dim
-    sc = {key: [(k, c.value) for k, c in terms] for key, terms in alg.sc.items()}
+    sc = alg.sc
 
     def det_mod(rows):
         a = [row[:] for row in rows]
