@@ -224,12 +224,17 @@ def check_leibniz(alg: Algebra) -> LeibnizReport:
 
 
 def is_antisymmetric(alg: Algebra) -> bool:
-    """True when [e_i, e_j] == -[e_j, e_i] for all basis pairs (so [x,x] = 0 too)."""
-    sc = alg.sc
-    return all(
+    """True when [e_i, e_i] == 0 and [e_i, e_j] == -[e_j, e_i] for all basis pairs.
+
+    By bilinearity this is [x, x] = 0 for every x.  The diagonal needs
+    its own test: in characteristic 2, -c = c, so [e_i, e_i] ==
+    -[e_i, e_i] holds for any constant.
+    """
+    sc, n = alg.sc, alg.dim
+    return all((i, i) not in sc for i in range(1, n + 1)) and all(
         _is_zero_sum([(sc.get((i, j), ()), 1), (sc.get((j, i), ()), 1)], alg.field.p)
-        for i in range(1, alg.dim + 1)
-        for j in range(i, alg.dim + 1)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
     )
 
 

@@ -17,10 +17,10 @@ at least once:
        whole chain in one degree, and the factor Z x Z_1 degenerates
        to Z.
 
-Enumeration never loops over raw degree tuples: every grading with all
-standard basis vectors homogeneous is a coarsening of the universal
-grading of the discrete partition, so the search space is the set of
-homomorphisms from the universal group into each menu group.
+Every grading with all standard basis vectors homogeneous is a
+coarsening of the universal grading of the discrete partition, so
+enumeration sweeps the homomorphisms from the universal group into each
+menu group, keying partitions on raw degree tuples (`gradings._coarsenings`).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from .algebras import Algebra, direct_sum, make_family
 from .errors import BadDimension, DifferentAlgebras, UnsupportedFamily
 from .fields import QQ, Field
-from .gradings import Grading, coarsen, trivial_grading, universal_grading
-from .groups import AbelianGroup, all_homs
+from .gradings import Grading, _coarsenings, trivial_grading, universal_grading
+from .groups import AbelianGroup
 
 #: generator-homogeneity hypotheses, each implying the ones before it
 HYPOTHESES = ("e1_homog", "e1_e2_homog")
@@ -182,13 +182,7 @@ def enumerate_h1_gradings(alg: Algebra, hypothesis: str, group_menu) -> list[Gra
     pair = universal_grading(alg)
     if pair is None:
         raise UnsupportedFamily("the discrete partition admits no universal grading here")
-    source, base = pair
-    seen: dict[tuple, Grading] = {}
-    for group in group_menu:
-        for images in all_homs(source, group, free_bound=alg.dim):
-            grading = coarsen(base, group, tuple(images))
-            seen.setdefault(grading.partition(), grading)
-    return [seen[key] for key in sorted(seen)]
+    return _coarsenings(pair[1], group_menu, free_bound=alg.dim)
 
 
 @dataclass(frozen=True)
@@ -216,18 +210,17 @@ def compare(found, expected) -> EnumerationReport:
         # family); the multiplication tables must not
         if not a.same_structure(b):
             raise DifferentAlgebras("cannot compare gradings of different algebras")
-    found_keys = {g.partition() for g in found}
-    expected_keys = {g.partition() for g in exp_gradings}
-    missing = tuple(
-        e for e, g in zip(expected, exp_gradings) if g.partition() not in found_keys
-    )
+    found_keys = [g.partition() for g in found]
+    expected_keys = [g.partition() for g in exp_gradings]
+    found_set, expected_set = set(found_keys), set(expected_keys)
+    missing = tuple(e for e, key in zip(expected, expected_keys) if key not in found_set)
     extra = tuple(
-        sorted((g for g in found if g.partition() not in expected_keys),
-               key=lambda g: g.partition())
+        g for key, g in sorted(zip(found_keys, found), key=lambda pair: pair[0])
+        if key not in expected_set
     )
     by_class: dict[tuple, list] = {}
-    for e, g in zip(expected, exp_gradings):
-        by_class.setdefault(g.partition(), []).append(e)
+    for e, key in zip(expected, expected_keys):
+        by_class.setdefault(key, []).append(e)
     collapsed = tuple(
         tuple(group) for _, group in sorted(by_class.items()) if len(group) > 1
     )
@@ -260,12 +253,7 @@ def lift_direct_sum_gradings(grading: Grading, summand: Algebra) -> list[Grading
     if fresh is not None:
         out.append(Grading(big, group, grading.degrees + (fresh,)))
     extended = AbelianGroup(group.free_rank + 1, group.torsion)
-
-    def embed(elem):
-        free = elem.coords[: group.free_rank]
-        tors = elem.coords[group.free_rank :]
-        return extended.element((0,) + free + tors)
-
+    lifted = tuple(extended.element((0,) + d.coords) for d in grading.degrees)
     new_degree = extended.element((1,) + (0,) * group.ngens)
-    out.append(Grading(big, extended, tuple(embed(d) for d in grading.degrees) + (new_degree,)))
+    out.append(Grading(big, extended, lifted + (new_degree,)))
     return out

@@ -21,9 +21,17 @@ from dataclasses import dataclass
 
 from .algebras import Algebra
 from .errors import DifferentAlgebras, GroupMismatch
-from .groups import AbelianGroup, GroupElem, apply_hom, validate_hom
+from .groups import AbelianGroup, GroupElem, _image_coords, all_homs, apply_hom, validate_hom
 from .linalg import Subspace, rref
 from .snf import int_matrix_inverse, row_hnf, smith_normal_form
+
+
+def _blocks(degrees) -> dict:
+    """Degree -> tuple of the 1-based indices carrying it, in order of least index."""
+    by_degree: dict = {}
+    for i, d in enumerate(degrees, start=1):
+        by_degree.setdefault(d, []).append(i)
+    return {d: tuple(ids) for d, ids in by_degree.items()}
 
 
 class Grading:
@@ -48,10 +56,7 @@ class Grading:
 
     def partition(self) -> tuple[tuple[int, ...], ...]:
         """Blocks of equal-degree basis indices, ordered by least index."""
-        by_degree: dict[GroupElem, list[int]] = {}
-        for i, d in enumerate(self.degrees, start=1):
-            by_degree.setdefault(d, []).append(i)
-        return tuple(sorted((tuple(ids) for ids in by_degree.values()), key=lambda b: b[0]))
+        return tuple(_blocks(self.degrees).values())
 
     def components(self) -> list[tuple[GroupElem, tuple[int, ...]]]:
         """(degree, indices) pairs in canonical support order.
@@ -59,10 +64,7 @@ class Grading:
         Degrees sort by element order (finite first, ascending), then
         coordinates; ties break on the least contained basis index.
         """
-        by_degree: dict[GroupElem, list[int]] = {}
-        for i, d in enumerate(self.degrees, start=1):
-            by_degree.setdefault(d, []).append(i)
-        items = [(d, tuple(ids)) for d, ids in by_degree.items()]
+        items = list(_blocks(self.degrees).items())
         items.sort(key=lambda pair: (pair[0].order_key(), pair[1][0]))
         return items
 
@@ -294,6 +296,20 @@ def coarsen(grading: Grading, target: AbelianGroup, images) -> Grading:
     return Grading(grading.algebra, target, new)
 
 
+def _coarsenings(base: Grading, group_menu, free_bound: int) -> list[Grading]:
+    """Coarsenings of `base` along all_homs into each menu group: the first
+    per partition, sorted by partition.  Partitions are keyed on raw image
+    coordinates, so a Grading is built only for the kept homomorphisms."""
+    elems = [d.coords for d in base.degrees]
+    seen: dict[tuple, Grading] = {}
+    for group in group_menu:
+        for images in all_homs(base.group, group, free_bound):
+            key = tuple(_blocks(_image_coords(images, elems, group)).values())
+            if key not in seen:
+                seen[key] = coarsen(base, group, images)
+    return [seen[key] for key in sorted(seen)]
+
+
 def equivalent(g1: Grading, g2: Grading) -> bool:
     """Weak equivalence of homogeneous-basis gradings.
 
@@ -320,11 +336,4 @@ def factor_through_universal(grading: Grading):
     group, base, gen_exprs = result
     blocks = base.partition()
     block_degrees = [grading.degree(ids[0]) for ids in blocks]
-    images = []
-    for expr in gen_exprs:
-        acc = grading.group.zero()
-        for b, coeff in enumerate(expr):
-            if coeff:
-                acc = acc + coeff * block_degrees[b]
-        images.append(acc)
-    return group, base, images
+    return group, base, [apply_hom(block_degrees, expr, grading.group) for expr in gen_exprs]

@@ -39,9 +39,6 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return self.ngens == 0
 
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     def _reduce(self, coords) -> tuple[int, ...]:
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.ngens:
@@ -55,12 +52,6 @@ class AbelianGroup:
 
     def zero(self) -> "GroupElem":
         return self.element((0,) * self.ngens)
-
-    def generators(self) -> list["GroupElem"]:
-        return [
-            self.element(tuple(1 if j == i else 0 for j in range(self.ngens)))
-            for i in range(self.ngens)
-        ]
 
     def elements(self, free_bound: int = 0):
         """Deterministic element enumeration.
@@ -153,9 +144,6 @@ class GroupElem:
         o = self.order()
         return (1, 0, self.coords) if o is None else (0, o, self.coords)
 
-    def free_part(self) -> tuple[int, ...]:
-        return self.coords[: self.group.free_rank]
-
     def __repr__(self):
         if self.group.ngens == 1:
             return str(self.coords[0])
@@ -178,13 +166,27 @@ def validate_hom(source: AbelianGroup, target: AbelianGroup, images: list[GroupE
             )
 
 
+def _image_coords(images: list[GroupElem], elems, target: AbelianGroup) -> list[tuple[int, ...]]:
+    """Reduced target coordinates of the image of each source element,
+    given by its coordinates, under generator i -> images[i]."""
+    for g in images:
+        if g.group != target:
+            raise GroupMismatch("image lies in the wrong group")
+    columns = [g.coords for g in images]
+    out = []
+    for coords in elems:
+        acc = [0] * target.ngens
+        for c, col in zip(coords, columns):
+            if c:
+                for k, a in enumerate(col):
+                    acc[k] += c * a
+        out.append(target._reduce(acc))
+    return out
+
+
 def apply_hom(images: list[GroupElem], elem_coords, target: AbelianGroup) -> GroupElem:
     """Image of the element with the given source coordinates."""
-    acc = target.zero()
-    for c, g in zip(elem_coords, images):
-        if c:
-            acc = acc + c * g
-    return acc
+    return GroupElem(target, _image_coords(images, [elem_coords], target)[0])
 
 
 def all_homs(source: AbelianGroup, target: AbelianGroup, free_bound: int):

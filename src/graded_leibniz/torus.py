@@ -36,8 +36,8 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import Field, Scalar
-from .gradings import Grading
-from .groups import AbelianGroup, GroupElem, all_homs, apply_hom
+from .gradings import Grading, _coarsenings, coarsen
+from .groups import AbelianGroup, GroupElem
 from .linalg import column, identity_matrix, invert, mat_vec, raw_inverse
 
 DEFAULT_BUDGET = 50_000_000
@@ -360,33 +360,28 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
 # -- toral gradings --------------------------------------------------------
 
 
+def _weight_grading(alg: Algebra, ws: WeightSystem) -> Grading:
+    """The grading by the weight lattice Z^r: degree(e_i) = weight(e_i)."""
+    lattice = AbelianGroup(free_rank=ws.torus_rank)
+    return Grading(alg, lattice, tuple(lattice.element(w) for w in ws.weights))
+
+
 def toral_grading(alg: Algebra, ws: WeightSystem, spec: Specialization) -> Grading:
     """Grading with degree(e_i) = weight(e_i) applied to the images.
 
     Weight additivity over nonzero products makes the result a valid
-    grading for every specialization.
+    grading for every specialization.  A wrong number of images raises
+    InconsistentHomomorphism, a ValueError.
     """
-    images = list(spec.images)
-    if len(images) != ws.torus_rank:
-        raise ValueError(f"expected {ws.torus_rank} generator images")
-    degrees = tuple(apply_hom(images, w, spec.target) for w in ws.weights)
-    return Grading(alg, spec.target, degrees)
+    return coarsen(_weight_grading(alg, ws), spec.target, spec.images)
 
 
 def enumerate_toral_gradings(alg: Algebra, ws: WeightSystem, group_menu) -> list[Grading]:
     """All toral gradings into the menu groups, up to equivalence.
 
-    Iterates every homomorphism from the weight lattice into each menu
+    Sweeps every homomorphism from the weight lattice into each menu
     group, with free generator images bounded by the dimension (larger
     images only relabel supports).  One representative per induced
     partition is kept; output order is deterministic.
     """
-    lattice = AbelianGroup(free_rank=ws.torus_rank)
-    seen: dict[tuple, Grading] = {}
-    for group in group_menu:
-        for images in all_homs(lattice, group, free_bound=alg.dim):
-            grading = toral_grading(alg, ws, Specialization(group, tuple(images)))
-            key = grading.partition()
-            if key not in seen:
-                seen[key] = grading
-    return [seen[key] for key in sorted(seen)]
+    return _coarsenings(_weight_grading(alg, ws), group_menu, free_bound=alg.dim)

@@ -350,7 +350,7 @@ def test_is_antisymmetric_matches_definition(alg):
     e, bracket = _basis(alg), alg.product
     expected = all(
         bracket(u, v) == [-c for c in bracket(v, u)] for u in e for v in e
-    )
+    ) and all(not any(bracket(u, u)) for u in e)
     assert is_antisymmetric(alg) == expected
 
 

@@ -76,6 +76,14 @@ def test_props_fields(capsys):
     assert doc["algebra"] == {"family": "f2", "dim": 5}
 
 
+def test_props_antisymmetric_over_f2(capsys):
+    """Over F2, -c = c, so only the diagonal test tells nf ([e1, e1] = e2) from a Lie algebra."""
+    _, doc = run_json(capsys, "props", "--family", "nf", "--dim", "2", "--field", "F2")
+    assert doc["antisymmetric"] is False
+    _, doc = run_json(capsys, "props", "--family", "lie-l", "--dim", "4", "--field", "F2")
+    assert doc["antisymmetric"] is True
+
+
 def test_aut_count_brute_force(capsys):
     code, doc = run_json(
         capsys, "aut-count", "--family", "nf", "--dim", "3", "--field", "F5", "--brute-force"

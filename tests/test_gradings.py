@@ -12,7 +12,11 @@ from graded_leibniz import (
     Grading,
     GroupMismatch,
     QQ,
+    all_homs,
     coarsen,
+    default_group_menu,
+    enumerate_h1_gradings,
+    enumerate_toral_gradings,
     equivalent,
     factor_through_universal,
     make_family,
@@ -20,7 +24,9 @@ from graded_leibniz import (
     trivial_grading,
     universal_grading,
     verify_grading,
+    weight_system,
 )
+from graded_leibniz.catalog import FAMILY_HYPOTHESIS
 from graded_leibniz.gradings import SubspaceGrading
 from graded_leibniz.torus import AutParamsNF, aut_matrix_nf
 
@@ -232,3 +238,42 @@ def test_chain_shifts_by_any_unit_slope(n, s):
     assert verify_grading(g).ok
     _, base = universal_grading(alg)
     assert equivalent(g, base)
+
+
+# -- the coarsening sweep against a reference loop ------------------------------
+
+
+def reference_coarsenings(base, menu, free_bound):
+    """The sweep written the slow way: coarsen every homomorphism, key by
+    Grading.partition(), keep the first per partition, sort by partition."""
+    seen = {}
+    for group in menu:
+        for images in all_homs(base.group, group, free_bound):
+            grading = coarsen(base, group, images)
+            seen.setdefault(grading.partition(), grading)
+    return [seen[key] for key in sorted(seen)]
+
+
+def as_json(gradings):
+    return [g.to_json() for g in gradings]
+
+
+@pytest.mark.parametrize("family, sizes", [("nf", range(2, 10)), ("f1", range(3, 7)), ("f2", range(3, 7))])
+def test_h1_enumeration_matches_reference_loop(family, sizes):
+    for n in sizes:
+        alg = make_family(family, n)
+        menu = default_group_menu(n)
+        found = enumerate_h1_gradings(alg, FAMILY_HYPOTHESIS[family], menu)
+        assert as_json(found) == as_json(reference_coarsenings(universal_grading(alg)[1], menu, n))
+
+
+@pytest.mark.parametrize("family, sizes", [("nf", range(2, 10)), ("f1", range(3, 7))])
+def test_toral_enumeration_matches_reference_loop(family, sizes):
+    for n in sizes:
+        alg = make_family(family, n)
+        ws = weight_system(family, n)
+        lattice = AbelianGroup(ws.torus_rank)
+        base = Grading(alg, lattice, tuple(lattice.element(w) for w in ws.weights))
+        menu = default_group_menu(n)
+        found = enumerate_toral_gradings(alg, ws, menu)
+        assert as_json(found) == as_json(reference_coarsenings(base, menu, n))

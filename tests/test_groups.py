@@ -126,6 +126,44 @@ def test_addition_is_hom_compatible(a, b):
     assert lhs == rhs
 
 
+@st.composite
+def image_problem(draw):
+    """A target group in invariant-factor form, generator images in it and source coordinates."""
+    rank = draw(st.integers(0, 2))
+    torsion = []
+    for _ in range(draw(st.integers(0, 2))):
+        torsion.append(draw(st.integers(2, 6)) if not torsion else torsion[-1] * draw(st.integers(1, 3)))
+    target = AbelianGroup(rank, tuple(torsion))
+    ngens = draw(st.integers(0, 4))
+    point = st.lists(st.integers(-12, 12), min_size=target.ngens, max_size=target.ngens)
+    images = [target.element(draw(point)) for _ in range(ngens)]
+    coords = tuple(draw(st.lists(st.integers(-6, 6), min_size=ngens, max_size=ngens)))
+    return target, images, coords
+
+
+@given(image_problem())
+def test_apply_hom_matches_group_arithmetic(problem):
+    """apply_hom computes on raw ints; it must equal the sum of c * g in GroupElem arithmetic."""
+    target, images, coords = problem
+    expected = target.zero()
+    for c, g in zip(coords, images):
+        expected = expected + c * g
+    assert apply_hom(images, coords, target) == expected
+
+
+@given(image_problem(), st.integers(0, 3))
+def test_apply_hom_rejects_foreign_image(problem, slot):
+    target, images, coords = problem
+    if not images:
+        return
+    slot %= len(images)
+    foreign = AbelianGroup(target.free_rank + 1, target.torsion)
+    images[slot] = foreign.element((1,) + images[slot].coords)
+    coords = coords[:slot] + (coords[slot] or 1,) + coords[slot + 1 :]
+    with pytest.raises(GroupMismatch):
+        apply_hom(images, coords, target)
+
+
 @given(coords2)
 def test_order_key_sorts_finite_first(a):
     g = AbelianGroup(1, (3,))

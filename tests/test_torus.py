@@ -416,8 +416,10 @@ def test_enumerate_toral_gradings_nf5_spec_menu():
 
 
 def test_toral_enumeration_agrees_with_hom_enumeration():
-    """Torus weights and universal degrees coincide for these families,
-    so the two independent enumeration paths must give equal classes."""
+    """Torus weights and universal degrees coincide for these families, so
+    the two enumerators must give equal classes.  Their base gradings (the
+    weight lattice and the universal grading) are built independently; the
+    sweep over homomorphisms that coarsens them is shared."""
     for family, lo, hi, hyp in (("nf", 2, 6, "e1_homog"), ("f1", 3, 5, "e1_e2_homog")):
         for n in range(lo, hi + 1):
             alg = make_family(family, n)
