@@ -169,7 +169,10 @@ def _cmd_verify_paper(args):
     threads = args.threads
     if threads is None:
         env = os.environ.get("GRADED_LEIBNIZ_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
+        try:
+            threads = int(env) if env else (os.cpu_count() or 1)
+        except ValueError as exc:
+            raise UsageError(f"GRADED_LEIBNIZ_THREADS must be an integer, got {env!r}") from exc
     start = time.monotonic()
     claims = run_all(max_dim=args.max_dim, threads=threads)
     doc = summarize(claims, int((time.monotonic() - start) * 1000))
@@ -242,7 +245,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = _DISPATCH[args.verb](args)
-    except (UsageError, GradedLeibnizError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, GradedLeibnizError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(doc, indent=args.json_indent))

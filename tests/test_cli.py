@@ -264,3 +264,20 @@ def test_bad_constants_exit_two(capsys, tmp_path, text):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_non_utf8_input_exits_two(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 2, "label": "caf\xe9"}')
+    code, out, err = run_cli(capsys, "check", "--input", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_non_integer_threads_env_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("GRADED_LEIBNIZ_THREADS", "abc")
+    code, out, err = run_cli(capsys, "verify-paper", "--max-dim", "2")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "GRADED_LEIBNIZ_THREADS" in lines[0]

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graded_leibniz import (
@@ -31,7 +31,8 @@ from graded_leibniz import (
     verify_grading,
     weight_system,
 )
-from graded_leibniz.linalg import mat_mul
+from graded_leibniz.linalg import mat_mul, raw_inverse
+from graded_leibniz.torus import _keeps_torus_diagonal
 
 F3 = Field(3)
 F5 = Field(5)
@@ -338,9 +339,64 @@ def test_normalizer_various_sizes():
         ("nf", 5, 3, 2),
         ("f1", 4, 3, 4),
         ("f1", 5, 3, 4),
+        ("nf", 6, 3, 2),
+        ("nf", 7, 3, 2),
+        ("f1", 6, 3, 4),
     ]:
         rep = normalizer_equals_torus(make_family(family, n, Field(p)))
         assert rep.holds and rep.normalizer_size == expected
+
+
+def conjugated_projectors(m, weights, p):
+    """M P_w M^-1 per weight class w, as the partial products
+    sum(M[i][k] Minv[k][j] : weight(k) = w) mod p."""
+    minv = raw_inverse(m, p)
+    n = len(m)
+    return {
+        w: [[sum(m[i][k] * minv[k][j] for k in range(n) if weights[k] == w) % p
+             for j in range(n)] for i in range(n)]
+        for w in set(weights)
+    }
+
+
+def is_diagonal(m):
+    return all(not x for i, row in enumerate(m) for j, x in enumerate(row) if i != j)
+
+
+def test_zero_pattern_accepts_a_swap_outside_the_centralizer():
+    # conjugating diag(s, t) by the swap gives diag(t, s): the swap
+    # normalizes the rank-2 torus but does not centralize it
+    swap, weights = [[0, 1], [1, 0]], ((1, 0), (0, 1))
+    projectors = conjugated_projectors(swap, weights, 5)
+    assert projectors[(1, 0)] == [[0, 0], [0, 1]]  # P_(0,1), not P_(1,0)
+    assert all(is_diagonal(q) for q in projectors.values())
+    assert _keeps_torus_diagonal(swap, weights)
+
+
+def test_zero_pattern_rejects_f1_matrix_with_nonzero_an():
+    n = 5
+    one, zero = F5.one(), F5.zero()
+    m = aut_matrix_f1(n, AutParamsF1(one, one, (one,) + (zero,) * (n - 2)))
+    assert not _keeps_torus_diagonal(values(m), weight_system("f1", n).weights)
+
+
+@st.composite
+def invertible_with_weights(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(raw_inverse(m, p) is not None)
+    weights = tuple(draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)))
+    return m, weights, p
+
+
+@given(invertible_with_weights())
+@settings(max_examples=100)
+def test_zero_pattern_agrees_with_conjugated_projectors(case):
+    m, weights, p = case
+    reference = all(is_diagonal(q) for q in conjugated_projectors(m, weights, p).values())
+    assert _keeps_torus_diagonal(m, weights) == reference
 
 
 def test_normalizer_guards():
