@@ -166,13 +166,19 @@ def _cmd_normalizer(args):
 
 
 def _cmd_verify_paper(args):
-    threads = args.threads
+    threads, source = args.threads, "--threads"
     if threads is None:
         env = os.environ.get("GRADED_LEIBNIZ_THREADS")
+        source = "GRADED_LEIBNIZ_THREADS"
         try:
             threads = int(env) if env else (os.cpu_count() or 1)
         except ValueError as exc:
             raise UsageError(f"GRADED_LEIBNIZ_THREADS must be an integer, got {env!r}") from exc
+    if threads < 1:
+        raise UsageError(f"{source} must be at least 1, got {threads}")
+    if args.max_dim is not None and args.max_dim < 2:
+        raise UsageError(f"--max-dim must be at least 2, the smallest dimension any claim uses, "
+                         f"got {args.max_dim}")
     start = time.monotonic()
     claims = run_all(max_dim=args.max_dim, threads=threads)
     doc = summarize(claims, int((time.monotonic() - start) * 1000))

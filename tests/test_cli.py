@@ -281,3 +281,36 @@ def test_non_integer_threads_env_exits_two(capsys, monkeypatch):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and "GRADED_LEIBNIZ_THREADS" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--max-dim", "2", "--threads", "-3"), "--threads"),
+        (("--max-dim", "2", "--threads", "0"), "--threads"),
+        (("--max-dim", "0"), "--max-dim"),
+        (("--max-dim", "1", "--threads", "1"), "--max-dim"),
+    ],
+)
+def test_bad_verify_paper_counts_exit_two(capsys, monkeypatch, argv, flag):
+    # a pool of no workers, or a dimension cap that leaves out every
+    # family claim, used to print a report of passed claims and exit 0
+    monkeypatch.delenv("GRADED_LEIBNIZ_THREADS", raising=False)
+    code, out, err = run_cli(capsys, "verify-paper", *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_threads_env_exits_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("GRADED_LEIBNIZ_THREADS", value)
+    code, out, err = run_cli(capsys, "verify-paper", "--max-dim", "2")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "GRADED_LEIBNIZ_THREADS" in lines[0]
+
+
+def test_smallest_verify_paper_counts_still_run(capsys):
+    code, doc = run_json(capsys, "verify-paper", "--max-dim", "2", "--threads", "1")
+    assert code == 0 and doc["failed"] == 0 and doc["total"] > 2

@@ -3,11 +3,12 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graded_leibniz import (
     AbelianGroup,
+    Algebra,
     AutParamsF1,
     AutParamsNF,
     BudgetExceeded,
@@ -32,7 +33,7 @@ from graded_leibniz import (
     weight_system,
 )
 from graded_leibniz.linalg import mat_mul, raw_inverse
-from graded_leibniz.torus import _keeps_torus_diagonal
+from graded_leibniz.torus import _keeps_torus_diagonal, family_counts
 
 F3 = Field(3)
 F5 = Field(5)
@@ -288,6 +289,36 @@ def test_brute_force_matches_raw_scan(family, n, p):
     alg = make_family(family, n, Field(p))
     report = brute_force_aut(alg)
     assert report.count == len(raw_scan(alg))
+    assert report.all_in_family is True
+
+
+@st.composite
+def random_small_algebra(draw):
+    """Random structure constants in dimension 2 over F2, F3, F5 or dimension 3
+    over F2, F3: sparse enough for large automorphism groups, with brackets of
+    several terms and brackets landing on their own factors."""
+    n, p = draw(st.sampled_from(((2, 2), (2, 3), (2, 5), (3, 2), (3, 3))))
+    index = st.integers(min_value=1, max_value=n)
+    term = st.tuples(index, st.integers(min_value=1, max_value=p - 1))
+    keys = draw(st.lists(st.tuples(index, index), max_size=n + 1, unique=True))
+    return Algebra(n, Field(p), {key: draw(st.lists(term, min_size=1, max_size=3)) for key in keys})
+
+
+@given(random_small_algebra())
+@example(Algebra(2, F3, {(2, 1): [(1, 1), (2, 2)]}))
+@example(Algebra(2, F5, {(1, 1): [(1, 1)], (2, 2): [(1, 2), (2, 3)]}))
+@example(Algebra(3, F3, {(1, 2): [(1, 1), (3, 1)], (2, 1): [(2, 2)], (3, 3): [(3, 1)]}))
+@example(Algebra(3, Field(2), {}))
+@settings(max_examples=60, deadline=None)
+def test_pruned_walk_matches_raw_scan_on_random_algebras(alg):
+    p, n = alg.field.p, alg.dim
+    assert brute_force_aut(alg, budget=p ** (n * n)).count == len(raw_scan(alg))
+
+
+@pytest.mark.parametrize("family,n,p", [("f1", 4, 5), ("f1", 5, 3), ("nf", 4, 5), ("nf", 5, 3)])
+def test_brute_force_family_is_aut_at_benchmark_sizes(family, n, p):
+    report = brute_force_aut(make_family(family, n, Field(p)), budget=p ** (n * n))
+    assert report.count == family_counts(family, n, p)[0]
     assert report.all_in_family is True
 
 
