@@ -78,7 +78,9 @@ def _algebra_header(alg: Algebra) -> dict:
 
 def _budget(args) -> int:
     if args.budget_ms is not None:
-        return max(1, args.budget_ms) * OPS_PER_MS
+        if args.budget_ms < 1:
+            raise UsageError(f"--budget-ms must be at least 1, got {args.budget_ms}")
+        return args.budget_ms * OPS_PER_MS
     return DEFAULT_BUDGET
 
 

@@ -21,6 +21,13 @@ passing this test include N(T) within the family; when they are exactly
 the torus points, N(T) within the family is T.  Weights are compared as
 integers, not as torus values over F_p, where they collide for small p.
 
+Both that check and the exhaustive search compare against the set of
+all family matrices over F_p.  aut_matrix_nf/aut_matrix_f1 are the only
+home of the family formulas, but they are not called once per parameter
+point: with the leading units fixed, every entry is affine in the other
+parameters, so n calls (the origin and each unit direction) fix the
+whole affine span, which is then enumerated on raw ints mod p.
+
 The exhaustive automorphism search (brute_force_aut) inverts nothing.
 It solves the constraints affine in the next column mod p instead of
 scanning all p^n columns, and it ends a prefix as soon as a column falls
@@ -36,6 +43,7 @@ from dataclasses import dataclass
 from .algebras import Algebra
 from .errors import (
     BudgetExceeded,
+    DimensionTooSmall,
     FieldMismatch,
     UnsupportedFamily,
     ZeroParameter,
@@ -87,11 +95,15 @@ def family_counts(family: str, n: int, p: int) -> tuple[int, int]:
     """(|Aut|, |torus|) over F_p: (p-1)^r p^(n-1) and (p-1)^r with torus rank r.
 
     The ranks are written out, not read off weight_system, so the
-    searches are checked against a formula they do not share.
+    searches are checked against a formula they do not share.  f1 of
+    dimension 2 is abelian, so its Aut is all of GL_2 and neither formula
+    holds: the f1 family presupposes the chain relation of dimension >= 3.
     """
     ranks = {"nf": 1, "f1": 2}
     if family not in ranks:
         raise UnsupportedFamily(f"no automorphism count formula for {family!r}")
+    if family == "f1" and n < 3:
+        raise DimensionTooSmall(f"the f1 automorphism family needs dimension >= 3, got {n}")
     torus = (p - 1) ** ranks[family]
     return torus * p ** (n - 1), torus
 
@@ -192,28 +204,67 @@ class AutSearchReport:
 def _family_param_space(alg: Algebra):
     """All (family parametrization) automorphism matrices over F_p, as
     int tuples, keyed and deduplicated by matrix.  None when the family
-    has no stored parametrization."""
+    has no stored parametrization.
+
+    Once the leading units are fixed (alpha for nf; a_1 and b_2 for f1),
+    every entry of aut_matrix_nf/aut_matrix_f1 is affine in the other
+    n - 1 parameters (beta_1..beta_{n-1}; a_n, b_3..b_n).  An affine map
+    is its value at the origin plus a combination of its steps along the
+    unit directions, so the family is evaluated there only (n calls per
+    leading value) and _add_affine_span enumerates the span mod p on raw
+    ints.  That gives the same set as evaluating every parameter point.
+    """
     if alg.label not in TORUS_FAMILIES:
         return None
     field = alg.field
     p = field.p
     n = alg.dim
     units = field.units()
-    everything = [field.scalar(v) for v in range(p)]
-    matrices = set()
+    zero, one = field.zero(), field.one()
+    # the origin of the non-leading parameters, then each unit direction
+    points = [(zero,) * (n - 1)] + [
+        tuple(one if i == j else zero for i in range(n - 1)) for j in range(n - 1)
+    ]
     if alg.label == "nf":
-        for alpha in units:
-            for betas in itertools.product(everything, repeat=n - 1):
-                m = aut_matrix_nf(n, AutParamsNF(alpha, betas))
-                matrices.add(_matrix_key(m))
+        evaluations = [[aut_matrix_nf(n, AutParamsNF(alpha, q)) for q in points]
+                       for alpha in units]
     else:
-        for a1 in units:
-            for b2 in units:
-                for an in everything:
-                    for rest in itertools.product(everything, repeat=n - 2):
-                        m = aut_matrix_f1(n, AutParamsF1(a1, an, (b2,) + rest))
-                        matrices.add(_matrix_key(m))
+        evaluations = [[aut_matrix_f1(n, AutParamsF1(a1, q[0], (b2,) + q[1:])) for q in points]
+                       for a1 in units for b2 in units]
+    matrices = set()
+    for origin, *along_units in evaluations:
+        base = _matrix_key(origin)
+        steps = [
+            tuple((r, tuple(x - y for x, y in zip(row, base_row)))
+                  for r, (row, base_row) in enumerate(zip(_matrix_key(m), base))
+                  if row != base_row)
+            for m in along_units
+        ]
+        # densest step outermost, so the innermost loops rebuild fewest rows
+        steps.sort(key=len, reverse=True)
+        _add_affine_span(matrices, base, steps, p)
     return matrices
+
+
+def _add_affine_span(out: set, point, steps, p: int) -> None:
+    """Add to out every point + sum t_k steps[k] mod p, t_k in 0..p-1.
+
+    Matrices are tuples of row tuples and each step lists only the rows
+    it changes, as (row index, delta).  Kept at module level with out
+    passed in: a nested function calling itself would hold out in a
+    reference cycle, alive after the call until a gc pass.
+    """
+    if not steps:
+        out.add(point)
+        return
+    step, rest = steps[0], steps[1:]
+    _add_affine_span(out, point, rest, p)
+    for _ in range(p - 1):
+        rows = list(point)
+        for r, delta in step:
+            rows[r] = tuple((x + y) % p for x, y in zip(rows[r], delta))
+        point = tuple(rows)
+        _add_affine_span(out, point, rest, p)
 
 
 def _matrix_key(m) -> tuple[tuple[int, ...], ...]:
@@ -364,6 +415,9 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
                 walk(d + 1, basis + [row])
 
     walk(1, [])
+    # walk reads itself through its closure cell; emptying the cell breaks
+    # that cycle, so found, cols and by_depth are freed on return, not by gc
+    del walk
     family = _family_param_space(alg)
     all_in_family = None if family is None else set(found) == family
     elapsed = int((time.monotonic() - start) * 1000)
@@ -399,8 +453,19 @@ class NormalizerReport:
 
 def _keeps_torus_diagonal(m, weights) -> bool:
     """True iff no row of m is nonzero in columns of two weight classes: for
-    invertible m, iff m P_w m^-1 is diagonal for every weight projector P_w."""
-    return all(len({w for w, x in zip(weights, row) if x}) <= 1 for row in m)
+    invertible m, iff m P_w m^-1 is diagonal for every weight projector P_w.
+
+    A row is rejected at its first nonzero column whose weight differs
+    from that of the row's first nonzero column."""
+    for row in m:
+        first = None
+        for w, x in zip(weights, row):
+            if x:
+                if first is None:
+                    first = w
+                elif w != first:
+                    return False
+    return True
 
 
 def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> NormalizerReport:

@@ -137,6 +137,23 @@ def test_normalizer_verb(capsys):
     assert "note" in doc
 
 
+@pytest.mark.parametrize("verb", [("normalizer",), ("aut-count",)])
+def test_f1_family_below_dimension_three_exits_two(capsys, verb):
+    # f1 of dimension 2 is abelian, with 48 automorphisms over F3; the
+    # normalizer check used to pass there and the count formula gave 12
+    code, out, err = run_cli(capsys, *verb, "--family", "f1", "--dim", "2", "--field", "F3")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_f1_brute_force_below_dimension_three_reports_the_mismatch(capsys):
+    code, doc = run_json(
+        capsys, "aut-count", "--family", "f1", "--dim", "2", "--field", "F3", "--brute-force"
+    )
+    assert code == 1 and doc["count"] == 48 and doc["matches_family"] is False
+
+
 def test_export_import_round_trip(capsys, tmp_path):
     _, doc = run_json(capsys, "export", "--family", "lie-l", "--dim", "4")
     path = tmp_path / "alg.json"
@@ -205,6 +222,18 @@ def test_budget_flag_converts_to_search_budget(capsys):
         "--brute-force", "--budget-ms", "1",
     )
     assert code == 2 and "budget" in err
+
+
+@pytest.mark.parametrize("verb", [("aut-count", "--brute-force"), ("normalizer",)])
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_nonpositive_budget_ms_exits_two(capsys, verb, value):
+    # a budget below 1 ms used to be clamped to 1 ms without a word
+    code, out, err = run_cli(
+        capsys, *verb, "--family", "nf", "--dim", "3", "--field", "F3", "--budget-ms", value
+    )
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--budget-ms" in lines[0]
 
 
 def test_argparse_usage_exit_code():

@@ -1,5 +1,6 @@
-"""The verify-paper claim count that the benchmark's workload checks."""
+"""What the benchmark reads of the package: the claim count and the traced names."""
 
+import importlib
 from pathlib import Path
 
 from graded_leibniz.verification import all_claim_thunks
@@ -14,3 +15,19 @@ def test_claim_count_matches_the_benchmark(monkeypatch):
     from workloads import VERIFY_PAPER_CLAIMS
 
     assert len(all_claim_thunks()) == VERIFY_PAPER_CLAIMS
+
+
+def test_traced_names_exist_in_the_package(monkeypatch):
+    # perfbench wraps these by name; a rename would otherwise surface only
+    # in the traced benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import COUNTED_METHODS, PACKAGE, SPAN_METHODS, SPAN_PRIVATE
+
+    methods = list(SPAN_METHODS.values())
+    methods += [m for group in COUNTED_METHODS.values() for m in group]
+    for module, cls, name in methods:
+        owner = getattr(importlib.import_module(f"{PACKAGE}.{module}"), cls)
+        assert callable(getattr(owner, name, None)), f"{module}.{cls}.{name}"
+    for module, name in SPAN_PRIVATE.values():
+        attribute = getattr(importlib.import_module(f"{PACKAGE}.{module}"), name, None)
+        assert callable(attribute), f"{module}.{name}"

@@ -1,5 +1,6 @@
 """Automorphism families, exhaustive searches, tori, toral gradings."""
 
+import gc
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ from graded_leibniz import (
     AutParamsF1,
     AutParamsNF,
     BudgetExceeded,
+    DimensionTooSmall,
     Field,
     FieldMismatch,
     QQ,
@@ -33,7 +35,7 @@ from graded_leibniz import (
     weight_system,
 )
 from graded_leibniz.linalg import mat_mul, raw_inverse
-from graded_leibniz.torus import _keeps_torus_diagonal, family_counts
+from graded_leibniz.torus import _family_param_space, _keeps_torus_diagonal, family_counts
 
 F3 = Field(3)
 F5 = Field(5)
@@ -221,6 +223,37 @@ def test_torus_matrices_are_automorphisms():
             assert is_automorphism(alg, torus_matrix(F5, ws, params))
 
 
+# -- the family's matrix set --------------------------------------------------
+
+
+def reference_family_space(alg):
+    """Every family matrix over F_p as int row tuples, one aut_matrix_* call
+    per parameter point: the per-point loop the affine span replaced."""
+    field, p, n = alg.field, alg.field.p, alg.dim
+    units = field.units()
+    everything = [field.scalar(v) for v in range(p)]
+    if alg.label == "nf":
+        matrices = (aut_matrix_nf(n, AutParamsNF(alpha, betas))
+                    for alpha in units
+                    for betas in itertools.product(everything, repeat=n - 1))
+    else:
+        matrices = (aut_matrix_f1(n, AutParamsF1(a1, an, (b2,) + rest))
+                    for a1 in units for b2 in units for an in everything
+                    for rest in itertools.product(everything, repeat=n - 2))
+    return {tuple(tuple(row) for row in values(m)) for m in matrices}
+
+
+@pytest.mark.parametrize(
+    "family,n,p",
+    [("nf", n, p) for n in range(2, 7) for p in (2, 3, 5)]
+    + [("f1", n, p) for n in range(3, 6) for p in (2, 3, 5)],
+)
+def test_family_space_matches_reference_loop(family, n, p):
+    # nf 6 F5 and f1 5 F5 are the normalizer inputs of the benchmark
+    alg = make_family(family, n, Field(p))
+    assert _family_param_space(alg) == reference_family_space(alg)
+
+
 # -- exhaustive search oracle -------------------------------------------------
 
 
@@ -341,6 +374,21 @@ def test_brute_force_needs_prime_field():
         brute_force_aut(make_family("nf", 3))
 
 
+def test_searches_leave_no_reference_cycles():
+    # a cycle through the walk's closure kept its matrices alive after the
+    # call until a gc pass
+    alg = make_family("f1", 4, F3)
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_aut(alg)
+        assert gc.collect() == 0
+        normalizer_equals_torus(alg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_brute_force_budget():
     with pytest.raises(BudgetExceeded) as info:
         brute_force_aut(make_family("nf", 4, F5), budget=1000)
@@ -428,6 +476,15 @@ def test_zero_pattern_agrees_with_conjugated_projectors(case):
     m, weights, p = case
     reference = all(is_diagonal(q) for q in conjugated_projectors(m, weights, p).values())
     assert _keeps_torus_diagonal(m, weights) == reference
+
+
+def test_normalizer_needs_f1_of_dimension_three():
+    # f1 of dimension 2 is abelian, so its Aut is all of GL_2 and the
+    # parametrized family is a proper subgroup
+    with pytest.raises(DimensionTooSmall):
+        normalizer_equals_torus(make_family("f1", 2, F3))
+    with pytest.raises(DimensionTooSmall):
+        family_counts("f1", 2, 3)
 
 
 def test_normalizer_guards():
