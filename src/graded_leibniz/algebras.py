@@ -207,14 +207,19 @@ def check_leibniz(alg: Algebra) -> LeibnizReport:
 
     Bilinearity makes the basis check sufficient, and a bracket of two
     basis vectors is a row of alg.sc, so each side is a sum of rows.
-    Returns the first violating triple (x, y, z) in lexicographic order,
-    if any.
+    Every term is zero unless [y, z], [x, y] or [x, z] is a stored
+    bracket, so only those triples are checked, in lexicographic order.
+    Returns the first violating triple (x, y, z) in that order, if any.
     """
     sc, p, n = alg.sc, alg.field.p, alg.dim
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
+    basis = range(1, n + 1)
+    partners: dict[int, set[int]] = {i: set() for i in basis}  # z with [i, z] stored
+    for i, j in sc:
+        partners[i].add(j)
+    for x in basis:
+        for y in basis:
             xy = sc.get((x, y), ())
-            for z in range(1, n + 1):
+            for z in basis if xy else sorted(partners[y] | partners[x]):
                 rows = [(sc.get((x, k), ()), c) for k, c in sc.get((y, z), ())]
                 rows += [(sc.get((k, z), ()), -c) for k, c in xy]
                 rows += [(sc.get((k, y), ()), c) for k, c in sc.get((x, z), ())]
@@ -248,6 +253,30 @@ def _scalar_row(field: Field, zero: Scalar, raw: list) -> list[Scalar]:
     return [Scalar(field, x) if x else zero for x in raw]
 
 
+def _right_products(alg: Algebra, v: list) -> list[list]:
+    """[v, e_j] for every j at once as raw rows (not reduced), one pass over
+    the constants; j whose product has no term is left out."""
+    by_j: dict[int, list] = {}
+    for (i, j), terms in alg.sc.items():
+        if v[i - 1]:
+            w = by_j.setdefault(j, [0] * alg.dim)
+            for k, c in terms:
+                w[k - 1] += c * v[i - 1]
+    return list(by_j.values())
+
+
+def _annihilator_systems(alg: Algebra) -> tuple[list[list], list[list]]:
+    """Raw rows of two linear systems: the solutions of the first are
+    {x : [x, e_j] = 0 for all j}, those of the second {x : [e_i, x] = 0 for all i}."""
+    left: dict[tuple[int, int], list] = {}
+    right: dict[tuple[int, int], list] = {}
+    for (i, j), terms in alg.sc.items():
+        for k, c in terms:
+            left.setdefault((j, k), [0] * alg.dim)[i - 1] = c
+            right.setdefault((i, k), [0] * alg.dim)[j - 1] = c
+    return list(left.values()), list(right.values())
+
+
 def lower_central_series(alg: Algebra) -> list[Subspace]:
     """L^1 = L, L^{k+1} = [L^k, L], listed until zero or stabilization.
 
@@ -260,15 +289,7 @@ def lower_central_series(alg: Algebra) -> list[Subspace]:
         prev = series[-1]
         products = []
         for v in prev.rows:
-            v = [s.value for s in v]
-            # [v, e_j] for every j at once, one pass over the constants
-            by_j: dict[int, list] = {}
-            for (i, j), terms in alg.sc.items():
-                if v[i - 1]:
-                    w = by_j.setdefault(j, [0] * n)
-                    for k, c in terms:
-                        w[k - 1] += c * v[i - 1]
-            rows = (_scalar_row(field, zero, w) for w in by_j.values())
+            rows = (_scalar_row(field, zero, w) for w in _right_products(alg, [s.value for s in v]))
             products += [row for row in rows if any(row)]
         nxt = Subspace(field, n, products)
         series.append(nxt)
@@ -302,14 +323,9 @@ def nilpotency_profile(alg: Algebra) -> NilpotencyProfile:
 def _bracket_kernel(alg: Algebra, both_sides: bool) -> Subspace:
     """{x : [e_i, x] = 0 for all i}, and also [x, e_i] = 0 when both_sides."""
     n, field = alg.dim, alg.field
-    rows: dict[tuple, list] = {}
-    for (i, j), terms in alg.sc.items():
-        for k, c in terms:
-            rows.setdefault(("right", i, k), [0] * n)[j - 1] = c
-            if both_sides:
-                rows.setdefault(("left", j, k), [0] * n)[i - 1] = c
+    left, right = _annihilator_systems(alg)
     zero = field.zero()
-    matrix = [_scalar_row(field, zero, row) for row in rows.values()]
+    matrix = [_scalar_row(field, zero, row) for row in right + (left if both_sides else [])]
     return Subspace(field, n, kernel_basis(matrix, field, n))
 
 

@@ -45,21 +45,21 @@ class UsageError(Exception):
 def _parse_field(text: str) -> Field:
     if text == "Q":
         return QQ
-    if text.startswith("Fp:"):
-        body = text[3:]
-    elif text.startswith("F"):
-        body = text[1:]
-    else:
-        raise UsageError(f"cannot parse field {text!r} (expected Q, F<p>, or Fp:<p>)")
+    # any other text leaves an empty body, which int() rejects
+    body = text[3:] if text.startswith("Fp:") else text[1:] if text.startswith("F") else ""
     try:
-        return Field(int(body))
+        p = int(body)
+    except ValueError:
+        raise UsageError(f"cannot parse field {text!r} (expected Q, F<p>, or Fp:<p>)") from None
+    try:
+        return Field(p)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _load_algebra(args) -> Algebra:
     if args.input:
-        if args.family or args.dim:
+        if args.family or args.dim is not None:
             raise UsageError("--input replaces --family/--dim")
         with open(args.input, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -67,7 +67,7 @@ def _load_algebra(args) -> Algebra:
             return Algebra.from_json(doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed algebra document {args.input}: {exc}") from exc
-    if not args.family or not args.dim:
+    if not args.family or args.dim is None:
         raise UsageError("need --family and --dim (or --input)")
     return make_family(_FAMILY_FLAGS[args.family], args.dim, _parse_field(args.field))
 
@@ -149,6 +149,8 @@ def _cmd_aut_count(args):
         "matches_family": matches,
         "elapsed_ms": elapsed,
     }
+    if args.brute_force:
+        doc["nodes"] = report.nodes
     return doc, 1 if matches is False else 0
 
 

@@ -171,6 +171,7 @@ def _brute_claim(family, n, p):
             "count": rep.count,
             "expected": expected,
             "all_in_family": rep.all_in_family,
+            "nodes": rep.nodes,
         }
 
     return _run(4, "aut-exhaustion", family, n, Field(p), body)

@@ -79,6 +79,8 @@ def test_criterion_04_aut_exhaustion(claims_by_criterion):
             assert ("nf", n, f"F{p}") in seen
         assert ("f1", 3, f"F{p}") in seen
     assert ("nf", 4, "F3") in seen and ("f1", 4, "F3") in seen
+    # the walk's work: a call for the empty prefix and one per leaf at least
+    assert all(c.detail["nodes"] > c.detail["count"] for c in claims)
     slow = [c for c in claims if c.elapsed_ms >= 120_000]
     _report(4, "brute-force automorphism counts match the closed forms", claims,
             extra_ok=not slow)

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graded_leibniz import (
@@ -17,6 +17,7 @@ from graded_leibniz import (
     QQ,
     QnOddDimension,
     UnsupportedFamily,
+    LeibnizReport,
     abelian_algebra,
     associated_graded,
     center,
@@ -29,6 +30,7 @@ from graded_leibniz import (
     right_annihilator,
     verify_grading,
 )
+from graded_leibniz.algebras import _is_zero_sum
 from graded_leibniz.fields import Scalar
 from graded_leibniz.linalg import unit_vector
 
@@ -305,12 +307,12 @@ _CONSTANTS = {
 
 
 @st.composite
-def random_algebra(draw):
-    """An algebra of dimension at most 4 over Q, F2, F3 or F5, sparse enough
-    that the Leibniz identity often holds."""
+def random_algebra(draw, max_dim=4):
+    """An algebra of dimension at most max_dim over Q, F2, F3 or F5, sparse
+    enough that the Leibniz identity often holds."""
     p = draw(st.sampled_from(sorted(_CONSTANTS, key=str)))
     field = QQ if p is None else Field(p)
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=max_dim))
     index = st.integers(min_value=1, max_value=n)
     term = st.tuples(index, st.sampled_from(_CONSTANTS[p]))
     keys = draw(st.lists(st.tuples(index, index), max_size=n + 1, unique=True))
@@ -342,6 +344,33 @@ def test_check_leibniz_matches_definition(alg):
     expected = reference_leibniz_violation(alg)
     assert report.ok == (expected is None)
     assert report.first_violation == expected
+
+
+def dense_check_leibniz(alg):
+    """check_leibniz as it was before it skipped triples: the identity on all
+    n^3 basis triples, each side a sum of rows of alg.sc."""
+    sc, p, n = alg.sc, alg.field.p, alg.dim
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            xy = sc.get((x, y), ())
+            for z in range(1, n + 1):
+                rows = [(sc.get((x, k), ()), c) for k, c in sc.get((y, z), ())]
+                rows += [(sc.get((k, z), ()), -c) for k, c in xy]
+                rows += [(sc.get((k, y), ()), c) for k, c in sc.get((x, z), ())]
+                if not _is_zero_sum(rows, p):
+                    return LeibnizReport(False, (x, y, z))
+    return LeibnizReport(True, None)
+
+
+@given(random_algebra(max_dim=5))
+@example(make_family("nf", 5, QQ))
+@example(make_family("lie_q", 4, Field(2)))
+@example(make_family("f2", 5, Field(5)))
+# the first violation, (2, 1, 2), has only [x, z] = [e2, e2] stored
+@example(Algebra(5, F3, {(4, 5): [(1, 1)], (2, 2): [(5, 2)], (5, 1): [(3, 1)]}))
+@settings(max_examples=300, deadline=None)
+def test_sparse_check_leibniz_matches_dense_loop(alg):
+    assert check_leibniz(alg) == dense_check_leibniz(alg)
 
 
 @given(random_algebra())

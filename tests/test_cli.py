@@ -95,6 +95,9 @@ def test_aut_count_brute_force(capsys):
     assert doc["algebra"] == {"family": "nf", "dim": 3}
     assert doc["field"] == {"kind": "Fp", "p": 5}
     assert isinstance(doc["elapsed_ms"], int)
+    # walk calls: one for the empty prefix and three for each of the 4 * 25
+    # first columns, which force the other two
+    assert doc["nodes"] == 1 + 3 * 100
 
 
 def test_aut_count_formula(capsys):
@@ -196,6 +199,39 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "gradings", "--family", "nf", "--dim", "4", "--group", "what")[0] == 2
     assert run_cli(capsys, "normalizer", "--family", "nf", "--dim", "4")[0] == 2
     assert run_cli(capsys, "check", "--input", "/nonexistent/path.json")[0] == 2
+
+
+def one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # --dim 0 used to read as a missing dimension
+        (("check", "--family", "nf", "--dim", "0"), "dimension >= 2"),
+        (("props", "--family", "f1", "--dim", "0", "--field", "F3"), "dimension >= 2"),
+        # a prime that is not an integer used to print int()'s own message
+        (("check", "--family", "nf", "--dim", "3", "--field", "Fp:x"), "cannot parse field 'Fp:x'"),
+        (("check", "--family", "nf", "--dim", "3", "--field", "F"), "cannot parse field 'F'"),
+    ],
+    ids=["check-dim-0", "props-dim-0", "field-Fp:x", "field-F"],
+)
+def test_zero_dim_and_unparsable_field_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert one_error_line(err) and message in err
+
+
+def test_input_with_zero_dim_exits_two(capsys, tmp_path):
+    # --dim 0 next to --input used to be ignored without a word
+    path = tmp_path / "nf3.json"
+    path.write_text(json.dumps(graded_leibniz.make_family("nf", 3).to_json()))
+    code, out, err = run_cli(capsys, "check", "--input", str(path), "--dim", "0")
+    assert code == 2 and out == ""
+    assert one_error_line(err) and "replaces" in err
+    assert run_cli(capsys, "check", "--input", str(path))[0] == 0
 
 
 def test_input_excludes_family(capsys, tmp_path):

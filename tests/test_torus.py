@@ -4,7 +4,7 @@ import gc
 import itertools
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graded_leibniz import (
@@ -34,8 +34,13 @@ from graded_leibniz import (
     verify_grading,
     weight_system,
 )
-from graded_leibniz.linalg import mat_mul, raw_inverse
-from graded_leibniz.torus import _family_param_space, _keeps_torus_diagonal, family_counts
+from graded_leibniz.linalg import gauss_jordan, mat_mul, raw_inverse
+from graded_leibniz.torus import (
+    _characteristic_subspaces,
+    _family_param_space,
+    _keeps_torus_diagonal,
+    family_counts,
+)
 
 F3 = Field(3)
 F5 = Field(5)
@@ -355,6 +360,121 @@ def test_brute_force_family_is_aut_at_benchmark_sizes(family, n, p):
     assert report.all_in_family is True
 
 
+# walk calls before each column was confined to the characteristic subspaces
+# of its basis vector: nf 4 F5 2,125, nf 5 F3 891, f1 4 F5 22,305, f1 5 F3 8,067
+@pytest.mark.parametrize(
+    "family,n,p,nodes",
+    [("nf", 4, 5, 2_001), ("nf", 5, 3, 811), ("f1", 4, 5, 6_021), ("f1", 5, 3, 1_303)],
+)
+def test_walk_nodes_at_benchmark_sizes(family, n, p, nodes):
+    alg = make_family(family, n, Field(p))
+    report = brute_force_aut(alg, budget=p ** (n * n))
+    assert report.nodes == nodes
+    # no dead ends: one call for the empty prefix, then one per distinct
+    # column prefix of an automorphism, the whole matrices included
+    auts = _family_param_space(alg)
+    prefixes = {tuple(row[:d] for row in m) for m in auts for d in range(1, n + 1)}
+    assert report.nodes == 1 + len(prefixes)
+
+
+# -- characteristic subspaces -------------------------------------------------
+
+
+def raw_bracket(alg, x, y):
+    p, out = alg.field.p, [0] * alg.dim
+    for (i, j), terms in alg.sc.items():
+        for k, c in terms:
+            out[k - 1] = (out[k - 1] + c * x[i - 1] * y[j - 1]) % p
+    return tuple(out)
+
+
+def span_of(gens, p, n):
+    """The span of gens in F_p^n as a set, by closing {0} under adding multiples."""
+    span = {(0,) * n}
+    for g in set(gens):
+        span = {tuple((a + c * b) % p for a, b in zip(v, g)) for v in span for c in range(p)}
+    return span
+
+
+def defined_subspaces(alg):
+    """Each subspace _characteristic_subspaces names, from its definition, as the
+    set of its vectors: every bracket is taken on all of F_p^n."""
+    p, n = alg.field.p, alg.dim
+    space = list(itertools.product(range(p), repeat=n))
+    zero = (0,) * n
+    out = {}
+    term, k = span_of([raw_bracket(alg, x, y) for x in space for y in space], p, n), 2
+    while True:
+        out[f"L^{k}"] = term
+        if term == {zero}:
+            break
+        nxt = span_of([raw_bracket(alg, x, y) for x in term for y in space], p, n)
+        if nxt == term:
+            break
+        term, k = nxt, k + 1
+    left = {x for x in space if all(raw_bracket(alg, x, y) == zero for y in space)}
+    right = {x for x in space if all(raw_bracket(alg, y, x) == zero for y in space)}
+    out.update({"left annihilator": left, "right annihilator": right, "center": left & right})
+    out["squares"] = span_of([raw_bracket(alg, x, x) for x in space], p, n)
+    return out
+
+
+@given(random_small_algebra())
+# the left and the right annihilator differ: span(e1, e3) against span(e2, e3)
+@example(Algebra(3, F3, {(2, 1): [(3, 1)]}))
+# not nilpotent: L^2 = L^3 = span(e1)
+@example(Algebra(2, F3, {(1, 1): [(1, 1)]}))
+# antisymmetric, so the span of squares is 0 while L^2 = span(e3)
+@example(Algebra(3, F3, {(1, 2): [(3, 1)], (2, 1): [(3, 2)]}))
+@example(Algebra(3, Field(2), {}))
+@settings(max_examples=60, deadline=None)
+def test_characteristic_subspaces_are_characteristic(alg):
+    p, n = alg.field.p, alg.dim
+    space = list(itertools.product(range(p), repeat=n))
+    subspaces = {
+        name: {x for x in space if not any(sum(a * b for a, b in zip(e, x)) % p for e in eqs)}
+        for name, eqs in _characteristic_subspaces(alg).items()
+    }
+    assert subspaces == defined_subspaces(alg)
+    # M S within S for every automorphism M; by linearity a spanning set will do
+    spanned = []
+    for s in set(map(frozenset, subspaces.values())):
+        gens = []
+        for x in sorted(s):
+            if x not in span_of(gens, p, n):
+                gens.append(x)
+        spanned.append((s, gens))
+    for flat in raw_scan(alg):
+        m = [flat[r * n : (r + 1) * n] for r in range(n)]
+        for s, gens in spanned:
+            assert all(tuple(sum(a * b for a, b in zip(row, x)) % p for row in m) in s for x in gens)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        # e1 spans the center, the intersection of the left annihilator
+        # span(e1, e3) and the right annihilator span(e1, e2)
+        Algebra(3, Field(2), {(2, 3): [(2, 1)]}),
+        # the mirror image: left annihilator span(e1, e2), right span(e1, e3)
+        Algebra(3, F3, {(3, 2): [(2, 2)]}),
+        # the non-abelian Lie algebra [e1, e2] = e1 = -[e2, e1]
+        Algebra(2, F3, {(1, 2): [(1, 1)], (2, 1): [(1, 2)]}),
+    ],
+    ids=["center-F2", "center-F3", "lie-F3"],
+)
+def test_confined_walk_has_no_dead_ends(alg):
+    # here column d must be confined to every characteristic subspace
+    # holding e_d at once for each visited prefix to extend to an automorphism
+    n = alg.dim
+    hits = raw_scan(alg)
+    prefixes = {tuple(flat[r * n + c] for r in range(n) for c in range(d))
+                for flat in hits for d in range(1, n + 1)}
+    report = brute_force_aut(alg)
+    assert report.count == len(hits)
+    assert report.nodes == 1 + len(prefixes)
+
+
 def test_brute_force_counts_match_formulas():
     # (p-1) p^(n-1) for the one-generator family
     assert brute_force_aut(make_family("nf", 3, F5)).count == 100
@@ -464,8 +584,18 @@ def invertible_with_weights(draw):
     p = draw(st.sampled_from((2, 3, 5)))
     n = draw(st.integers(min_value=1, max_value=5))
     entry = st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1))
-    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    assume(raw_inverse(m, p) is not None)
+    m = []
+    for _ in range(n):
+        row = draw(st.lists(entry, min_size=n, max_size=n))
+        # a row in the span of the rows before it gets 1 added at a column
+        # without a pivot there, which takes it out of that span; rejecting
+        # it instead filtered out so many draws that the health check failed
+        _, pivots = gauss_jordan(m + [row], p)
+        if len(pivots) == len(m):
+            free = next(c for c in range(n) if c not in pivots)
+            row[free] = (row[free] + 1) % p
+        m.append(row)
+    assert raw_inverse(m, p) is not None
     weights = tuple(draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)))
     return m, weights, p
 
