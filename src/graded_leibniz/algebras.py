@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .fields import QQ, Field, Scalar
-from .linalg import Subspace, invert, kernel_basis, mat_vec
+from .linalg import Subspace, affine_solve, invert, mat_vec
 
 FAMILIES = ("nf", "f1", "f2", "lie_l", "lie_q")
 
@@ -324,9 +324,9 @@ def _bracket_kernel(alg: Algebra, both_sides: bool) -> Subspace:
     """{x : [e_i, x] = 0 for all i}, and also [x, e_i] = 0 when both_sides."""
     n, field = alg.dim, alg.field
     left, right = _annihilator_systems(alg)
-    zero = field.zero()
-    matrix = [_scalar_row(field, zero, row) for row in right + (left if both_sides else [])]
-    return Subspace(field, n, kernel_basis(matrix, field, n))
+    rows = [row + [0] for row in right + (left if both_sides else [])]
+    _, basis = affine_solve(rows, n, field.p)
+    return Subspace(field, n, [[Scalar(field, v) for v in vec] for vec in basis])
 
 
 def right_annihilator(alg: Algebra) -> Subspace:

@@ -48,6 +48,9 @@ class Field:
     p: int | None = None
 
     def __post_init__(self):
+        # 5.0 would pass is_prime and then hold float constants
+        if self.p is not None and type(self.p) is not int:
+            raise ValueError(f"modulus {self.p!r} is not an integer")
         if self.p is not None and not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 

@@ -45,14 +45,11 @@ def column(m: list[list[Scalar]], j: int) -> list[Scalar]:
     return [row[j - 1] for row in m]
 
 
-def gauss_jordan(rows: list[list], p: int | None = None,
-                 square: bool = False) -> tuple[list[list], list[int]] | None:
+def gauss_jordan(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of raw values; returns (nonzero rows, 0-based pivots).
 
     Entries are Fractions when p is None (ints are promoted to Fractions)
-    and ints reduced mod p otherwise.  With square=True every row must gain a
-    pivot in the leading columns; the first column without one returns
-    None at once, which is what makes inverting singular matrices cheap.
+    and ints reduced mod p otherwise.
     """
     if p is None:
         rows = [[Fraction(x) for x in row] for row in rows]
@@ -64,8 +61,6 @@ def gauss_jordan(rows: list[list], p: int | None = None,
     for c in range(len(rows[0]) if rows else 0):
         pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
-            if square:
-                return None
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         if p is None:
@@ -88,14 +83,38 @@ def gauss_jordan(rows: list[list], p: int | None = None,
     return rows[:r], pivots
 
 
+def affine_solve(rows: list[list], ncols: int,
+                 p: int | None = None) -> tuple[list, list[list]] | None:
+    """Solutions of the augmented rows [A | b] of raw values (see gauss_jordan),
+    each ncols coefficients and a constant: (x0, basis) with {x : A x = b} =
+    x0 + span(basis), x0 zero at the free columns and one basis vector per
+    free column, 1 there and 0 at the others; None when inconsistent."""
+    reduced, pivots = gauss_jordan(rows, p)
+    if pivots and pivots[-1] == ncols:
+        return None
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
+    x0 = [zero] * ncols
+    for row, c in zip(reduced, pivots):
+        x0[c] = row[ncols]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[f] = one
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f] if p is None else -row[f] % p
+        basis.append(v)
+    return x0, basis
+
+
 def raw_inverse(m: list[list], p: int | None = None) -> list[list] | None:
     """Inverse of a square matrix of raw values (see gauss_jordan), or None when singular."""
     n = len(m)
     aug = [list(row) + [0] * n for row in m]
     for i in range(n):
         aug[i][n + i] = 1
-    reduced = gauss_jordan(aug, p, square=True)
-    return None if reduced is None else [row[n:] for row in reduced[0]]
+    reduced, pivots = gauss_jordan(aug, p)
+    # [m | I] has rank n, so m is invertible iff every pivot lies in m's columns
+    return None if pivots and pivots[-1] >= n else [row[n:] for row in reduced]
 
 
 def _values(m: list[list[Scalar]], field: Field) -> list[list]:
@@ -115,18 +134,9 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
 
 
 def kernel_basis(m: list[list[Scalar]], field: Field, ncols: int) -> list[list[Scalar]]:
-    """Basis of {x : m @ x = 0}, via free variables of the RREF."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = zero_vector(field, ncols)
-        v[f] = field.one()
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(v)
-    return basis
+    """Basis of {x : m @ x = 0}, one vector per free column (see affine_solve)."""
+    _, basis = affine_solve([row + [0] for row in _values(m, field)], ncols, field.p)
+    return [[Scalar(field, v) for v in vec] for vec in basis]
 
 
 def invert(m: list[list[Scalar]]) -> list[list[Scalar]] | None:

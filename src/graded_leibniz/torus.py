@@ -37,6 +37,7 @@ vector: an automorphism f maps each of the subspaces built from the
 bracket alone (lower central series terms, annihilators, center, span of
 squares) onto itself, and f is a bijection, so f(e_d) lies in such a
 subspace S exactly when e_d does (Eick, Linear Algebra Appl. 382, 2004).
+Every kernel comes from linalg.affine_solve, the series from algebras.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .algebras import Algebra, _annihilator_systems, _right_products
+from .algebras import Algebra, _annihilator_systems, lower_central_series
 from .errors import (
     BudgetExceeded,
     DimensionTooSmall,
@@ -56,7 +57,7 @@ from .errors import (
 from .fields import Field, Scalar
 from .gradings import Grading, _coarsenings, coarsen
 from .groups import AbelianGroup, GroupElem
-from .linalg import column, gauss_jordan, identity_matrix, invert, mat_vec
+from .linalg import affine_solve, column, gauss_jordan, identity_matrix, invert, mat_vec
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -288,17 +289,8 @@ def _reduced(rows, p: int) -> tuple[tuple[int, ...], ...]:
 
 def _span_equations(vectors, n: int, p: int) -> tuple[tuple[int, ...], ...]:
     """Canonical rows E with span(vectors) = {x : E x = 0 mod p}: the reduced
-    basis of {y : y . v = 0 for every v}, built with one vector per free column."""
-    reduced, pivots = gauss_jordan(vectors, p)
-    perp = []
-    for f in range(n):
-        if f not in pivots:
-            y = [0] * n
-            y[f] = 1
-            for row, c in zip(reduced, pivots):
-                y[c] = -row[f] % p
-            perp.append(y)
-    return _reduced(perp, p)
+    basis of {y : y . v = 0 for every v}."""
+    return _reduced(affine_solve([list(v) + [0] for v in vectors], n, p)[1], p)
 
 
 def _characteristic_subspaces(alg: Algebra) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -319,16 +311,13 @@ def _characteristic_subspaces(alg: Algebra) -> dict[str, tuple[tuple[int, ...], 
         for k, c in terms:
             v[k - 1] = c
     zero = [0] * n
-    out = {}
-    term, k = gauss_jordan(list(vectors.values()), p)[0], 2
-    while True:
-        out[f"L^{k}"] = _span_equations(term, n, p)
-        if not term:
-            break
-        nxt = gauss_jordan([w for r in term for w in _right_products(alg, r)], p)[0]
-        if nxt == term:
-            break
-        term, k = nxt, k + 1
+    # L^2, L^3, ...; a series that stabilizes ends on a repeat of its last
+    # term, the non-nilpotency witness, which names nothing new
+    terms = lower_central_series(alg)[1:]
+    if len(terms) > 1 and terms[-1] == terms[-2]:
+        terms.pop()
+    out = {f"L^{k}": _span_equations([[s.value for s in row] for row in term.rows], n, p)
+           for k, term in enumerate(terms, start=2)}
     left, right = _annihilator_systems(alg)
     out["left annihilator"] = _reduced(left, p)
     out["right annihilator"] = _reduced(right, p)
@@ -349,8 +338,8 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
 
     * A constraint [e_a, e_b] = c e_d with a, b < d pins column d
       outright.  At any other depth d every constraint except [e_d, e_d]
-      is affine in column d, so only the solution coset of that linear
-      system mod p is enumerated (nothing when it is inconsistent), not
+      is affine in column d, so only the coset x0 + span(basis) of that
+      system's solutions mod p (linalg.affine_solve) is enumerated, not
       all p^n columns.  satisfied() still checks every constraint at
       depth d, so a coset too large can only cost time, never a wrong
       column.
@@ -458,20 +447,15 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
             else:
                 const = [x - y for x, y in zip(const, product(cols[a], cols[b]))]
             rows.extend(coef[r] + [-const[r]] for r in range(n))
-        reduced, pivots = gauss_jordan(rows, p)
-        if pivots and pivots[-1] == n:
+        solved = affine_solve(rows, n, p)
+        if solved is None:
             return []
-        free = [c for c in range(n) if c not in pivots]
-        coset = []
-        for values in itertools.product(range(p), repeat=len(free)):
-            x = [0] * n
-            for c, v in zip(free, values):
-                x[c] = v
-            for row, c in zip(reduced, pivots):
-                x[c] = (row[n] - sum(row[f] * x[f] for f in free)) % p
-            if all(any(sum(a * b for a, b in zip(e, x)) % p for e in eqs) for eqs in avoid[d]):
-                coset.append(tuple(x))
-        return coset
+        x0, basis = solved
+        coset = [tuple(x0)]
+        for v in basis:
+            coset = [tuple((a + t * b) % p for a, b in zip(x, v)) for x in coset for t in range(p)]
+        return [x for x in coset
+                if all(any(sum(a * b for a, b in zip(e, x)) % p for e in eqs) for eqs in avoid[d])]
 
     def independent(basis, col):
         """The echelon row col adds to basis (pivot, row), or None if col is in its span.

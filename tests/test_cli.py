@@ -331,6 +331,18 @@ def test_bad_constants_exit_two(capsys, tmp_path, text):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("verb", [("check",), ("props",), ("aut-count", "--brute-force"), ("export",)])
+@pytest.mark.parametrize("p", ["5.0", "true"])
+def test_non_integer_modulus_exits_two(capsys, tmp_path, verb, p):
+    # {"p": 5.0} used to load as F5.0, equal to F5 but holding float constants
+    path = tmp_path / "float_p.json"
+    path.write_text(_one_constant_doc("1", field=f'{{"kind": "Fp", "p": {p}}}'))
+    code, out, err = run_cli(capsys, *verb, "--input", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_non_utf8_input_exits_two(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"dim": 2, "label": "caf\xe9"}')

@@ -1,5 +1,6 @@
-"""Row reduction, kernels, inverses, canonical subspaces."""
+"""Row reduction, kernels, affine solutions, inverses, canonical subspaces."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from graded_leibniz import Field, FieldMismatch, QQ, Subspace
 from graded_leibniz.linalg import (
+    affine_solve,
     column,
     gauss_jordan,
     identity_matrix,
@@ -168,6 +170,53 @@ def test_kernel_inverse_over_q_is_exact(m):
 
 def test_kernel_stops_at_first_free_column_only_when_square():
     singular = [[0, 1], [0, 1]]
-    assert gauss_jordan(singular, 5, square=True) is None
     assert gauss_jordan(singular, 5) == ([[0, 1]], [1])
     assert gauss_jordan([], 5) == ([], [])
+
+
+# -- the affine solver ----------------------------------------------------------
+
+
+def augmented_system(entry):
+    """(ncols, rows): up to four rows of ncols coefficients and a constant."""
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1), max_size=4),
+        )
+    )
+
+
+@given(augmented_system(st.integers(min_value=-4, max_value=4)), st.sampled_from([2, 3, 5]))
+def test_affine_solve_mod_p_is_the_solution_set(system, p):
+    n, rows = system
+    brute = {
+        x for x in itertools.product(range(p), repeat=n)
+        if all(sum(a * b for a, b in zip(row, x)) % p == row[n] % p for row in rows)
+    }
+    solved = affine_solve(rows, n, p)
+    assert (solved is None) == (not brute)
+    if solved is not None:
+        x0, basis = solved
+        found = {
+            tuple((a + sum(t * v[i] for t, v in zip(ts, basis))) % p for i, a in enumerate(x0))
+            for ts in itertools.product(range(p), repeat=len(basis))
+        }
+        assert found == brute
+        assert len(found) == p ** len(basis)  # the basis is independent
+
+
+@given(augmented_system(st.integers(min_value=-9, max_value=9)))
+def test_affine_solve_over_q(system):
+    n, rows = system
+    solved = affine_solve(rows, n)
+    rank = len(gauss_jordan([row[:n] for row in rows])[1])
+    # consistent iff appending the constants keeps the rank
+    assert (solved is None) == (len(gauss_jordan(rows)[1]) > rank)
+    if solved is not None:
+        x0, basis = solved
+        assert all(type(x) is Fraction for x in x0)
+        assert all(sum(a * x for a, x in zip(row, x0)) == row[n] for row in rows)
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert len(basis) == n - rank  # rank-nullity
