@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .fields import QQ, Field, Scalar
-from .linalg import Subspace, affine_solve, invert, mat_vec
+from .linalg import Subspace, affine_solve, raw_inverse
 
 FAMILIES = ("nf", "f1", "f2", "lie_l", "lie_q")
 
@@ -246,13 +246,6 @@ def is_antisymmetric(alg: Algebra) -> bool:
 # -- series and invariant subspaces --------------------------------------
 
 
-def _scalar_row(field: Field, zero: Scalar, raw: list) -> list[Scalar]:
-    """Scalars of a raw row (reduced mod p over F_p), sharing `zero` for zero entries."""
-    if field.p is not None:
-        raw = [x % field.p for x in raw]
-    return [Scalar(field, x) if x else zero for x in raw]
-
-
 def _right_products(alg: Algebra, v: list) -> list[list]:
     """[v, e_j] for every j at once as raw rows (not reduced), one pass over
     the constants; j whose product has no term is left out."""
@@ -283,15 +276,10 @@ def lower_central_series(alg: Algebra) -> list[Subspace]:
     The first repeated term is kept as the non-nilpotency witness.
     """
     field, n = alg.field, alg.dim
-    zero = field.zero()
     series = [Subspace.full(field, n)]
     while not series[-1].is_zero() and len(series) <= n + 1:
         prev = series[-1]
-        products = []
-        for v in prev.rows:
-            rows = (_scalar_row(field, zero, w) for w in _right_products(alg, [s.value for s in v]))
-            products += [row for row in rows if any(row)]
-        nxt = Subspace(field, n, products)
+        nxt = Subspace(field, n, [w for v in prev.rows for w in _right_products(alg, v)])
         series.append(nxt)
         if nxt == prev:
             break
@@ -326,7 +314,7 @@ def _bracket_kernel(alg: Algebra, both_sides: bool) -> Subspace:
     left, right = _annihilator_systems(alg)
     rows = [row + [0] for row in right + (left if both_sides else [])]
     _, basis = affine_solve(rows, n, field.p)
-    return Subspace(field, n, [[Scalar(field, v) for v in vec] for vec in basis])
+    return Subspace(field, n, basis)
 
 
 def right_annihilator(alg: Algebra) -> Subspace:
@@ -352,7 +340,7 @@ def associated_graded(alg: Algebra):
     series = lower_central_series(alg)
     if series[-1].dim != 0:
         raise NotNilpotent("the lower central series does not reach zero")
-    blocks: list[list[list[Scalar]]] = []
+    blocks: list[list[list]] = []
     for t in range(len(series) - 1):
         blocks.append(series[t + 1].basis_complement_in(series[t]))
     new_basis = [v for block in blocks for v in block]
@@ -362,16 +350,19 @@ def associated_graded(alg: Algebra):
 
     # Coordinates in the adapted basis: solve c @ P = w for each product,
     # where the columns of P are the new basis vectors.
-    p_inv = invert([list(col) for col in zip(*new_basis)])
+    p = alg.field.p
+    p_inv = raw_inverse([list(col) for col in zip(*new_basis)], p)
     if p_inv is None:
         raise RuntimeError("adapted basis failed to be invertible")
 
     n = alg.dim
-    sc: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    sc: dict[tuple[int, int], list[tuple[int, Fraction | int]]] = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            w = alg.product(new_basis[a - 1], new_basis[b - 1])
-            coords = mat_vec(p_inv, w)
+            w = alg.raw_product(new_basis[a - 1], new_basis[b - 1])
+            coords = [sum(x * y for x, y in zip(row, w)) for row in p_inv]
+            if p is not None:
+                coords = [c % p for c in coords]
             target = degree_of_index[a - 1] + degree_of_index[b - 1]
             terms = [
                 (k, coords[k - 1])

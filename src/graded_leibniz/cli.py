@@ -26,7 +26,7 @@ from .algebras import (
 )
 from .catalog import FAMILY_HYPOTHESIS, default_group_menu, enumerate_h1_gradings
 from .errors import GradedLeibnizError
-from .fields import Field, QQ
+from .fields import Field, QQ, Scalar
 from .groups import AbelianGroup
 from .torus import DEFAULT_BUDGET, brute_force_aut, family_counts, normalizer_equals_torus
 from .verification import run_all, summarize
@@ -95,6 +95,11 @@ def _cmd_check(args):
     return doc, 0 if doc["leibniz"] else 1
 
 
+def _rows_json(field: Field, space) -> list[list]:
+    """The raw basis rows of a subspace as JSON scalars ("p/q" over Q, ints over F_p)."""
+    return [[Scalar(field, v).to_json() for v in row] for row in space.rows]
+
+
 def _cmd_props(args):
     alg = _load_algebra(args)
     profile = nilpotency_profile(alg)
@@ -107,10 +112,8 @@ def _cmd_props(args):
         "nilpotency_index": profile.index,
         "null_filiform": profile.null_filiform,
         "filiform": profile.filiform,
-        "center": [[s.to_json() for s in row] for row in center(alg).rows],
-        "right_annihilator": [
-            [s.to_json() for s in row] for row in right_annihilator(alg).rows
-        ],
+        "center": _rows_json(alg.field, center(alg)),
+        "right_annihilator": _rows_json(alg.field, right_annihilator(alg)),
     }
     return doc, 0
 
@@ -170,16 +173,9 @@ def _cmd_normalizer(args):
 
 
 def _cmd_verify_paper(args):
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        env = os.environ.get("GRADED_LEIBNIZ_THREADS")
-        source = "GRADED_LEIBNIZ_THREADS"
-        try:
-            threads = int(env) if env else (os.cpu_count() or 1)
-        except ValueError as exc:
-            raise UsageError(f"GRADED_LEIBNIZ_THREADS must be an integer, got {env!r}") from exc
+    threads = (os.cpu_count() or 1) if args.threads is None else args.threads
     if threads < 1:
-        raise UsageError(f"{source} must be at least 1, got {threads}")
+        raise UsageError(f"--threads must be at least 1, got {threads}")
     if args.max_dim is not None and args.max_dim < 2:
         raise UsageError(f"--max-dim must be at least 2, the smallest dimension any claim uses, "
                          f"got {args.max_dim}")
@@ -234,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = verbs.add_parser("verify-paper", help="run the full verification suite")
     sub.add_argument("--max-dim", type=int, default=None)
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker pool size (default: GRADED_LEIBNIZ_THREADS or cpu count)")
+                     help="worker pool size (default: cpu count)")
 
     return parser
 

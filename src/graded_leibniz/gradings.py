@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .algebras import Algebra
 from .errors import DifferentAlgebras, GroupMismatch
 from .groups import AbelianGroup, GroupElem, _image_coords, all_homs, apply_hom, validate_hom
-from .linalg import Subspace, rref
+from .linalg import Subspace, _values, rref
 from .snf import int_matrix_inverse, row_hnf, smith_normal_form
 
 
@@ -127,7 +127,7 @@ class SubspaceGrading:
                 raise ValueError("component subspace has the wrong ambient space")
             total += space.dim
             stacked.extend(space.rows)
-        if total != algebra.dim or len(rref(stacked)[0]) != algebra.dim:
+        if total != algebra.dim or len(rref(stacked, algebra.field.p)[0]) != algebra.dim:
             raise ValueError("components do not decompose the space")
         self.algebra = algebra
         self.group = group
@@ -167,7 +167,7 @@ def _verify_subspace_grading(grading: SubspaceGrading) -> GradingReport:
             target = spaces.get(g + h)
             for v in left.rows:
                 for w in right.rows:
-                    p = alg.product(v, w)
+                    p = alg.raw_product(v, w)
                     if not any(p):
                         continue
                     if target is None or not target.contains(p):
@@ -178,14 +178,18 @@ def _verify_subspace_grading(grading: SubspaceGrading) -> GradingReport:
 def transport(grading: Grading, matrix) -> SubspaceGrading:
     """Push a grading forward along an invertible linear map.
 
-    Column i of `matrix` is the image of e_i; the component of degree g
-    becomes the span of the images of its basis vectors.
+    Column i of `matrix` (n x n, Scalars of the algebra's field) is the
+    image of e_i; the component of degree g becomes the span of the
+    images of its basis vectors.
     """
     alg = grading.algebra
     n = alg.dim
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"transport needs a {n}x{n} matrix")
+    m = _values(matrix, alg.field)
     comps = []
     for d, ids in grading.components():
-        vectors = [[matrix[r][i - 1] for r in range(n)] for i in ids]
+        vectors = [[m[r][i - 1] for r in range(n)] for i in ids]
         comps.append((d, Subspace(alg.field, n, vectors)))
     return SubspaceGrading(alg, grading.group, comps)
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over a Field: row reduction, kernels, subspaces.
 
-Vectors are lists of Scalar; matrices are lists of row vectors.
-All results are canonical (reduced row echelon form) so subspace
-equality is plain row comparison.  Row reduction and inversion over Q
-and F_p (here, in snf.int_matrix_inverse and in the torus searches) all
-run through one kernel, `gauss_jordan`, on raw values (Fractions over
-Q, ints mod p); Scalars appear only in the wrappers around it.
+Matrices are lists of row vectors.  Every row reduction over Q and F_p
+(here, in snf.int_matrix_inverse and in the torus searches) runs through
+one kernel, `rref`, on raw values: Fractions over Q, ints in [0, p) over
+F_p.  Subspaces hold their reduced row echelon basis as raw rows, so
+subspace equality is plain row comparison.  The Scalar helpers below
+(unit vectors, matrix products, `invert`) serve callers that work on
+Scalar matrices, such as torus.is_automorphism.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from fractions import Fraction
 from .errors import FieldMismatch
 from .fields import Field, Scalar
 
-
-def zero_vector(field: Field, n: int) -> list[Scalar]:
-    return [field.zero()] * n
 
 def unit_vector(field: Field, n: int, i: int) -> list[Scalar]:
     """Standard basis vector e_i, 1-based."""
@@ -45,7 +43,7 @@ def column(m: list[list[Scalar]], j: int) -> list[Scalar]:
     return [row[j - 1] for row in m]
 
 
-def gauss_jordan(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
+def rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of raw values; returns (nonzero rows, 0-based pivots).
 
     Entries are Fractions when p is None (ints are promoted to Fractions)
@@ -85,11 +83,11 @@ def gauss_jordan(rows: list[list], p: int | None = None) -> tuple[list[list], li
 
 def affine_solve(rows: list[list], ncols: int,
                  p: int | None = None) -> tuple[list, list[list]] | None:
-    """Solutions of the augmented rows [A | b] of raw values (see gauss_jordan),
+    """Solutions of the augmented rows [A | b] of raw values (see rref),
     each ncols coefficients and a constant: (x0, basis) with {x : A x = b} =
     x0 + span(basis), x0 zero at the free columns and one basis vector per
     free column, 1 there and 0 at the others; None when inconsistent."""
-    reduced, pivots = gauss_jordan(rows, p)
+    reduced, pivots = rref(rows, p)
     if pivots and pivots[-1] == ncols:
         return None
     zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
@@ -107,12 +105,12 @@ def affine_solve(rows: list[list], ncols: int,
 
 
 def raw_inverse(m: list[list], p: int | None = None) -> list[list] | None:
-    """Inverse of a square matrix of raw values (see gauss_jordan), or None when singular."""
+    """Inverse of a square matrix of raw values (see rref), or None when singular."""
     n = len(m)
     aug = [list(row) + [0] * n for row in m]
     for i in range(n):
         aug[i][n + i] = 1
-    reduced, pivots = gauss_jordan(aug, p)
+    reduced, pivots = rref(aug, p)
     # [m | I] has rank n, so m is invertible iff every pivot lies in m's columns
     return None if pivots and pivots[-1] >= n else [row[n:] for row in reduced]
 
@@ -124,21 +122,6 @@ def _values(m: list[list[Scalar]], field: Field) -> list[list]:
     return [[s.value for s in row] for row in m]
 
 
-def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, 0-based pivot columns)."""
-    if not rows or not rows[0]:
-        return [], []
-    field = rows[0][0].field
-    reduced, pivots = gauss_jordan(_values(rows, field), field.p)
-    return [[Scalar(field, v) for v in row] for row in reduced], pivots
-
-
-def kernel_basis(m: list[list[Scalar]], field: Field, ncols: int) -> list[list[Scalar]]:
-    """Basis of {x : m @ x = 0}, one vector per free column (see affine_solve)."""
-    _, basis = affine_solve([row + [0] for row in _values(m, field)], ncols, field.p)
-    return [[Scalar(field, v) for v in vec] for vec in basis]
-
-
 def invert(m: list[list[Scalar]]) -> list[list[Scalar]] | None:
     """Matrix inverse over the field, or None when singular."""
     field = m[0][0].field
@@ -147,32 +130,40 @@ def invert(m: list[list[Scalar]]) -> list[list[Scalar]] | None:
 
 
 class Subspace:
-    """A subspace of F^n held in canonical RREF basis form."""
+    """A subspace of F^n held in canonical RREF basis form.
+
+    Vectors in and rows out are raw values (see rref): Fractions over Q,
+    ints in [0, p) over F_p.
+    """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots")
 
-    def __init__(self, field: Field, ambient_dim: int, vectors: list[list[Scalar]]):
+    def __init__(self, field: Field, ambient_dim: int, vectors: list[list]):
         self.field = field
         self.ambient_dim = ambient_dim
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        self.rows, self.pivots = rref(vectors)
+        self.rows, self.pivots = rref(vectors, field.p)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: list[Scalar]) -> list[Scalar]:
+    def reduce(self, v: list) -> list:
         """Residue of v after elimination against the basis rows."""
-        v = v[:]
+        p = self.field.p
+        v = [Fraction(x) for x in v] if p is None else [x % p for x in v]
         for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                f = v[c]
-                v = [x - f * y for x, y in zip(v, row)]
+            f = v[c]
+            if f:
+                if p is None:
+                    v = [x - f * y for x, y in zip(v, row)]
+                else:
+                    v = [(x - f * y) % p for x, y in zip(v, row)]
         return v
 
-    def contains(self, v: list[Scalar]) -> bool:
+    def contains(self, v: list) -> bool:
         return not any(self.reduce(v))
 
     def __eq__(self, other):
@@ -189,18 +180,18 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def basis_complement_in(self, larger: "Subspace") -> list[list[Scalar]]:
+    def basis_complement_in(self, larger: "Subspace") -> list[list]:
         """Rows of `larger` extending this subspace's basis (representatives mod self)."""
         stack, out = list(self.rows), []
         for v in larger.rows:
-            if len(rref(stack + [v])[0]) > len(stack):
+            if len(rref(stack + [v], self.field.p)[0]) > len(stack):
                 stack.append(v)
                 out.append(v)
         return out
 
     @staticmethod
     def full(field: Field, n: int) -> "Subspace":
-        return Subspace(field, n, identity_matrix(field, n))
+        return Subspace(field, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(field: Field, n: int) -> "Subspace":

@@ -40,7 +40,6 @@ from .catalog import (
 from .fields import QQ, Field
 from .gradings import coarsen, equivalent, universal_grading, verify_grading
 from .groups import AbelianGroup
-from .linalg import unit_vector
 from .snf import det_int, diagonal_of, int_mat_mul, smith_normal_form
 from .torus import (
     Specialization,
@@ -141,10 +140,9 @@ def _center_claim(n):
         alg = make_family("nf", n)
         c = center(alg)
         ra = right_annihilator(alg)
-        c_ok = c.dim == 1 and c.contains(unit_vector(alg.field, n, n))
-        ra_ok = ra.dim == n - 1 and all(
-            ra.contains(unit_vector(alg.field, n, j)) for j in range(2, n + 1)
-        )
+        e = [[int(k == j) for k in range(1, n + 1)] for j in range(n + 1)]  # e[j] = e_j
+        c_ok = c.dim == 1 and c.contains(e[n])
+        ra_ok = ra.dim == n - 1 and all(ra.contains(e[j]) for j in range(2, n + 1))
         return c_ok and ra_ok, {"center_dim": c.dim, "annihilator_dim": ra.dim}
 
     return _run(3, "center-and-annihilator", "nf", n, QQ, body)

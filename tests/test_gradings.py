@@ -9,6 +9,7 @@ from graded_leibniz import (
     Algebra,
     DifferentAlgebras,
     Field,
+    FieldMismatch,
     Grading,
     GroupMismatch,
     QQ,
@@ -209,16 +210,33 @@ def test_transport_detects_broken_decomposition():
         transport(base, singular)
 
 
+def test_transport_rejects_a_matrix_over_another_field():
+    # a Q matrix used to pass on an F5 grading: its subspaces were reduced
+    # over Q but labelled F5
+    _, base = universal_grading(make_family("nf", 3, Field(5)))
+    identity = [[QQ.scalar(int(i == j)) for j in range(3)] for i in range(3)]
+    with pytest.raises(FieldMismatch):
+        transport(base, identity)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2), (4, 4)])
+def test_transport_rejects_a_matrix_of_the_wrong_shape(rows, cols):
+    # short matrices used to raise a bare IndexError, and a larger one was
+    # silently cut down to its top left corner
+    _, base = universal_grading(make_family("nf", 3))
+    with pytest.raises(ValueError, match="3x3"):
+        transport(base, [[QQ.scalar(int(i == j)) for j in range(cols)] for i in range(rows)])
+
+
 def test_subspace_grading_closure_violation_witness():
     alg = make_family("nf", 3, Field(5))
     f5 = Field(5)
-    one, zero = f5.one(), f5.zero()
     z2 = AbelianGroup(0, (2,))
     from graded_leibniz.linalg import Subspace
 
     comps = [
-        (z2.element((0,)), Subspace(f5, 3, [[one, zero, zero], [zero, zero, one]])),
-        (z2.element((1,)), Subspace(f5, 3, [[zero, one, zero]])),
+        (z2.element((0,)), Subspace(f5, 3, [[1, 0, 0], [0, 0, 1]])),
+        (z2.element((1,)), Subspace(f5, 3, [[0, 1, 0]])),
     ]
     bad = SubspaceGrading(alg, z2, comps)
     rep = verify_grading(bad)

@@ -34,7 +34,7 @@ from graded_leibniz import (
     verify_grading,
     weight_system,
 )
-from graded_leibniz.linalg import gauss_jordan, mat_mul, raw_inverse
+from graded_leibniz.linalg import mat_mul, raw_inverse, rref
 from graded_leibniz.torus import (
     _characteristic_subspaces,
     _family_param_space,
@@ -590,7 +590,7 @@ def invertible_with_weights(draw):
         # a row in the span of the rows before it gets 1 added at a column
         # without a pivot there, which takes it out of that span; rejecting
         # it instead filtered out so many draws that the health check failed
-        _, pivots = gauss_jordan(m + [row], p)
+        _, pivots = rref(m + [row], p)
         if len(pivots) == len(m):
             free = next(c for c in range(n) if c not in pivots)
             row[free] = (row[free] + 1) % p
