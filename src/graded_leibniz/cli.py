@@ -154,6 +154,8 @@ def _cmd_aut_count(args):
     }
     if args.brute_force:
         doc["nodes"] = report.nodes
+        doc["forced"] = report.forced
+        doc["pruned"] = report.pruned
     return doc, 1 if matches is False else 0
 
 

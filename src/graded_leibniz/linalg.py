@@ -129,11 +129,18 @@ def invert(m: list[list[Scalar]]) -> list[list[Scalar]] | None:
     return None if inv is None else [[Scalar(field, v) for v in row] for row in inv]
 
 
+#: the raw value types a Subspace accepts over Q and over F_p
+_EXACT_Q = frozenset((int, Fraction))
+_EXACT_FP = frozenset((int,))
+
+
 class Subspace:
     """A subspace of F^n held in canonical RREF basis form.
 
     Vectors in and rows out are raw values (see rref): Fractions over Q,
-    ints in [0, p) over F_p.
+    ints in [0, p) over F_p.  Vectors in may hold ints or Fractions over Q
+    and ints over F_p; anything else (a bool, a float, a string) raises
+    ValueError, as Field.scalar refuses it.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots")
@@ -142,9 +149,18 @@ class Subspace:
         self.field = field
         self.ambient_dim = ambient_dim
         for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
+            self._check(v)
         self.rows, self.pivots = rref(vectors, field.p)
+
+    def _check(self, v: list) -> None:
+        """Refuse a vector of the wrong length or holding a value that is not raw."""
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        exact = _EXACT_Q if self.field.p is None else _EXACT_FP
+        # exact types, not isinstance: bool is an int subclass
+        if not exact.issuperset(map(type, v)):
+            bad = next(x for x in v if type(x) not in exact)
+            raise ValueError(f"{bad!r} is not a raw value over {self.field!r}")
 
     @property
     def dim(self) -> int:
@@ -152,6 +168,7 @@ class Subspace:
 
     def reduce(self, v: list) -> list:
         """Residue of v after elimination against the basis rows."""
+        self._check(v)
         p = self.field.p
         v = [Fraction(x) for x in v] if p is None else [x % p for x in v]
         for row, c in zip(self.rows, self.pivots):

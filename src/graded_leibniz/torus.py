@@ -29,14 +29,18 @@ parameters, so n calls (the origin and each unit direction) fix the
 whole affine span, which is then enumerated on raw ints mod p.
 
 The exhaustive automorphism search (brute_force_aut) inverts nothing.
-It solves the constraints affine in the next column mod p instead of
-scanning all p^n columns, and it ends a prefix as soon as a column falls
-in the span of those before it, since every completion is then singular.
-It also confines each column to the characteristic subspaces of its basis
-vector: an automorphism f maps each of the subspaces built from the
-bracket alone (lower central series terms, annihilators, center, span of
-squares) onto itself, and f is a bijection, so f(e_d) lies in such a
-subspace S exactly when e_d does (Eick, Linear Algebra Appl. 382, 2004).
+Its product constraints are compiled once per search into per-depth
+check lists on raw ints; only a forcing constraint [e_a, e_b] = c e_d,
+which pins column d to c^-1 [col_a, col_b] and so holds by construction,
+goes unevaluated.  It solves the constraints affine in the next column
+mod p instead of scanning all p^n columns, and it ends a prefix as soon
+as a column falls in the span of those before it, since every completion
+is then singular.  It also confines each column to the characteristic
+subspaces of its basis vector: an automorphism f maps each of the
+subspaces built from the bracket alone (lower central series terms,
+annihilators, center, span of squares) onto itself, and f is a
+bijection, so f(e_d) lies in such a subspace S exactly when e_d does
+(Eick, Linear Algebra Appl. 382, 2004).
 Every kernel comes from linalg.affine_solve and every echelon form from
 linalg.rref; the series comes from algebras, its terms already raw rows
 mod p.
@@ -206,12 +210,16 @@ def torus_matrix(field: Field, ws: WeightSystem, params: tuple[Scalar, ...]) -> 
 class AutSearchReport:
     """count is the number of automorphisms found and nodes the number of
     walk calls: one per column prefix reached, the empty one and the leaves
-    included."""
+    included.  forced counts the columns computed from a forcing constraint
+    and pruned the candidate columns cut by the rank test or by a failed
+    constraint."""
 
     count: int
     all_in_family: bool | None
     elapsed_ms: int
     nodes: int
+    forced: int
+    pruned: int
 
 
 def _family_param_space(alg: Algebra):
@@ -335,15 +343,21 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
 
     The search walks columns left to right (column i = image of e_i),
     checking every product constraint as soon as all columns it mentions
-    are placed.  Three prunings cut the walk; all are exact:
+    are placed.  The checks are compiled once per call: the structure
+    constants are flattened into 0-based raw tuples, and each depth gets
+    its list of constraints, each evaluated as [col_a, col_b] - sum c_k
+    col_k on raw ints up to the first nonzero residue mod p.  Three
+    prunings cut the walk; all are exact:
 
     * A constraint [e_a, e_b] = c e_d with a, b < d pins column d
-      outright.  At any other depth d every constraint except [e_d, e_d]
-      is affine in column d, so only the coset x0 + span(basis) of that
-      system's solutions mod p (linalg.affine_solve) is enumerated, not
-      all p^n columns.  satisfied() still checks every constraint at
-      depth d, so a coset too large can only cost time, never a wrong
-      column.
+      outright to c^-1 [col_a, col_b], so it holds by construction and is
+      the one constraint left out of that depth's checks; every other
+      constraint at depth d is still evaluated.  At any other depth d
+      every constraint except [e_d, e_d] is affine in column d, so only
+      the coset x0 + span(basis) of that system's solutions mod p
+      (linalg.affine_solve) is enumerated, not all p^n columns.  Every
+      constraint at such a depth is still evaluated on each solution, so
+      a coset too large can only cost time, never a wrong column.
     * M is invertible iff each column lies outside the span of the
       columns before it, so a prefix is cut as soon as its newest column
       is dependent.  Every leaf is then invertible; nothing is inverted.
@@ -352,16 +366,18 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
       f(e_d) lies in S exactly when e_d lies in f^-1(S) = S.  At an
       unforced depth d the equations of every S holding e_d join the
       column's linear system, and a solution lying in an S that does not
-      hold e_d is dropped.  Forced columns are not filtered: satisfied()
+      hold e_d is dropped.  Forced columns are not filtered: the checks
       and independent() already decide them, and filtering them too
       slowed nf 4 over F_5 by a third (0.029 to 0.040 s) without saving a
       node.
 
     The walk thus visits only invertible prefixes consistent with all
     prefix constraints, and its count equals the raw p^(n^2) scan's
-    count; nodes counts its calls.  The budget still gates on that raw
-    size since an algebra with few constants admits little pruning: the
-    abelian one visits all of GL_n(F_p).
+    count; nodes counts its calls, forced the columns pinned by a forcing
+    constraint and pruned the candidates cut by the rank test or by a
+    failed constraint.  The budget still gates on that raw size since an
+    algebra with few constants admits little pruning: the abelian one
+    visits all of GL_n(F_p).
     """
     p = alg.field.p
     if p is None:
@@ -388,6 +404,21 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
                 forced[d] = (a, b, pow(terms[0][1], -1, p))
                 break
 
+    # compiled once: into[r] lists the (i, j, c), 0-based, with c e_r a term
+    # of [e_i, e_j].  checks[d] is by_depth[d] less the forcing constraint,
+    # which holds by construction of the forced column, each constraint with
+    # the coordinates its residue can be nonzero in: all of them when it has
+    # terms, else those some bracket reaches
+    into: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (i, j), terms in sc.items():
+        for k, c in terms:
+            into[k - 1].append((i - 1, j - 1, c))
+    reached = [(r, prods) for r, prods in enumerate(into) if prods]
+    checks = {d: [(a, b, terms, list(enumerate(into)) if terms else reached)
+                  for a, b, terms in by_depth[d]
+                  if d not in forced or (a, b) != forced[d][:2]]
+              for d in by_depth}
+
     # at each unforced depth d, column d must solve the equations of every
     # characteristic subspace holding e_d and lie in none of the others;
     # 0 and L itself say nothing an invertible column does not already meet
@@ -402,25 +433,34 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
                     else:
                         confine[d].extend(eqs)
 
-    nodes = 0
+    nodes = forced_cols = pruned = 0
     found: list[tuple[tuple[int, ...], ...]] = []
     cols: list[tuple[int, ...]] = [()] * (n + 1)
 
-    def satisfied(a: int, b: int, terms) -> bool:
-        lhs = [0] * n
-        for k, c in terms:
-            ck = cols[k]
-            for r in range(n):
-                lhs[r] += c * ck[r]
-        rhs = product(cols[a], cols[b])
-        return all(x % p == y for x, y in zip(lhs, rhs))
+    def violated(depth_checks) -> bool:
+        """True iff some [col_a, col_b] - sum c_k col_k has a nonzero entry mod p.
+
+        One pass per constraint on raw ints, coordinate by coordinate,
+        returning at the first nonzero residue.
+        """
+        for a, b, terms, rows in depth_checks:
+            x, y = cols[a], cols[b]
+            for r, prods in rows:
+                v = 0
+                for i, j, c in prods:
+                    v += c * x[i] * y[j]
+                for k, c in terms:
+                    v -= c * cols[k][r]
+                if v % p:
+                    return True
+        return False
 
     def solutions(d: int) -> list[tuple[int, ...]]:
         """All columns d satisfying the constraints at depth d that are affine in it.
 
         Column d is x.  A constraint [e_a, e_b] = sum c_k e_k at depth d is
         A x = rhs with A = c_d I minus the bracket with the placed factor,
-        unless a = b = d, where it is quadratic and left to satisfied().
+        unless a = b = d, where it is quadratic and left to the checks.
         The equations of confine[d] join the system, and a solution lying
         in a subspace of avoid[d] is dropped.
         """
@@ -478,23 +518,28 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
         return lead, [x * inv % p for x in v]
 
     def walk(d: int, basis: list) -> None:
-        nonlocal nodes
+        nonlocal nodes, forced_cols, pruned
         nodes += 1
         if d > n:
-            found.append(tuple(tuple(cols[i][r] for i in range(1, n + 1)) for r in range(n)))
+            found.append(tuple(zip(*cols[1:])))
             return
         if d in forced:
+            forced_cols += 1
             a, b, cinv = forced[d]
             prod = product(cols[a], cols[b])
             candidates = [tuple(x * cinv % p for x in prod)]
         else:
             candidates = solutions(d)
+        depth_checks = checks[d]
         for col in candidates:
             row = independent(basis, col)
             if row is None:
+                pruned += 1
                 continue
             cols[d] = col
-            if all(satisfied(a, b, terms) for a, b, terms in by_depth[d]):
+            if violated(depth_checks):
+                pruned += 1
+            else:
                 walk(d + 1, basis + [row])
 
     walk(1, [])
@@ -504,7 +549,7 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
     family = _family_param_space(alg)
     all_in_family = None if family is None else set(found) == family
     elapsed = int((time.monotonic() - start) * 1000)
-    return AutSearchReport(len(found), all_in_family, elapsed, nodes)
+    return AutSearchReport(len(found), all_in_family, elapsed, nodes, forced_cols, pruned)
 
 
 # -- normalizer of the maximal torus --------------------------------------

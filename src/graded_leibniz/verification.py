@@ -170,6 +170,8 @@ def _brute_claim(family, n, p):
             "expected": expected,
             "all_in_family": rep.all_in_family,
             "nodes": rep.nodes,
+            "forced": rep.forced,
+            "pruned": rep.pruned,
         }
 
     return _run(4, "aut-exhaustion", family, n, Field(p), body)

@@ -81,6 +81,10 @@ def test_criterion_04_aut_exhaustion(claims_by_criterion):
     assert ("nf", 4, "F3") in seen and ("f1", 4, "F3") in seen
     # the walk's work: a call for the empty prefix and one per leaf at least
     assert all(c.detail["nodes"] > c.detail["count"] for c in claims)
+    # the walk's counters follow its node count; each forced column is
+    # computed at a node, so there are fewer of them than nodes
+    assert all(list(c.detail)[-3:] == ["nodes", "forced", "pruned"] for c in claims)
+    assert all(0 < c.detail["forced"] < c.detail["nodes"] for c in claims)
     slow = [c for c in claims if c.elapsed_ms >= 120_000]
     _report(4, "brute-force automorphism counts match the closed forms", claims,
             extra_ok=not slow)

@@ -158,6 +158,9 @@ def test_aut_count_brute_force(capsys):
     # walk calls: one for the empty prefix and three for each of the 4 * 25
     # first columns, which force the other two
     assert doc["nodes"] == 1 + 3 * 100
+    # columns 2 and 3 are forced under each first column, and none is cut
+    assert (doc["forced"], doc["pruned"]) == (2 * 100, 0)
+    assert list(doc)[-3:] == ["nodes", "forced", "pruned"]
 
 
 def test_aut_count_formula(capsys):

@@ -143,6 +143,37 @@ def test_vector_length_mismatch_rejected():
         Subspace(QQ, 3, [[1, 0]])
 
 
+@pytest.mark.parametrize(
+    "field,vector",
+    [
+        (QQ, ["1/2", 1]),
+        (QQ, [1, True]),
+        (QQ, [0.1]),
+        (F5, [True, 1]),
+        (F5, [2.5]),
+        (F5, [Fraction(1, 2)]),
+    ],
+    ids=["Q-str", "Q-bool", "Q-float", "F5-bool", "F5-float", "F5-fraction"],
+)
+def test_subspace_refuses_what_field_scalar_refuses(field, vector):
+    # a string or bool once reduced as if exact, and a float's binary
+    # expansion was reduced as a Fraction
+    with pytest.raises(ValueError):
+        Subspace(field, len(vector), [vector])
+    # reduce and contains took them too: over F5, contains([0, 5.0]) was
+    # true by float arithmetic
+    space = Subspace(field, len(vector), [[1] + [0] * (len(vector) - 1)])
+    with pytest.raises(ValueError):
+        space.reduce(vector)
+    with pytest.raises(ValueError):
+        space.contains(vector)
+
+
+def test_subspace_takes_ints_and_fractions_over_q_and_ints_over_fp():
+    assert Subspace(QQ, 2, [[2, Fraction(1, 2)]]).rows == [[1, Fraction(1, 4)]]
+    assert Subspace(F5, 2, [[2, -1]]).rows == [[1, 2]]
+
+
 # -- the raw row reduction kernel ----------------------------------------------
 
 

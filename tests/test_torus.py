@@ -347,6 +347,16 @@ def random_small_algebra(draw):
 @example(Algebra(2, F5, {(1, 1): [(1, 1)], (2, 2): [(1, 2), (2, 3)]}))
 @example(Algebra(3, F3, {(1, 2): [(1, 1), (3, 1)], (2, 1): [(2, 2)], (3, 3): [(3, 1)]}))
 @example(Algebra(3, Field(2), {}))
+# forcing constraints with c != 1: column 2 is 2^-1 [col_1, col_1]
+@example(Algebra(2, F3, {(1, 1): [(2, 2)]}))
+@example(Algebra(2, F5, {(1, 1): [(2, 2)]}))
+# a second constraint at the forced depth, which the forced column can fail:
+# at (1, 2), (2, 1) and (2, 2) in turn
+@example(Algebra(2, F3, {(1, 1): [(2, 2)], (1, 2): [(2, 1)]}))
+@example(Algebra(2, F3, {(1, 1): [(2, 2)], (2, 1): [(2, 1)]}))
+@example(Algebra(2, F3, {(1, 1): [(2, 2)], (2, 2): [(2, 1)]}))
+# the forced column (y^2, x^2) is dependent on (x, y) when x = y
+@example(Algebra(2, F3, {(1, 1): [(2, 1)], (2, 2): [(1, 1)]}))
 @settings(max_examples=60, deadline=None)
 def test_pruned_walk_matches_raw_scan_on_random_algebras(alg):
     p, n = alg.field.p, alg.dim
@@ -375,6 +385,42 @@ def test_walk_nodes_at_benchmark_sizes(family, n, p, nodes):
     auts = _family_param_space(alg)
     prefixes = {tuple(row[:d] for row in m) for m in auts for d in range(1, n + 1)}
     assert report.nodes == 1 + len(prefixes)
+
+
+@pytest.mark.parametrize(
+    "family,n,p,forced",
+    [("nf", 4, 5, 1_500), ("nf", 5, 3, 648), ("f1", 4, 5, 4_000), ("f1", 5, 3, 972)],
+)
+def test_walk_counters_at_benchmark_sizes(family, n, p, forced):
+    # nf forces columns 2..n and f1 columns 3..n; with no dead ends there is
+    # one forced column per distinct prefix ending just before a forced depth
+    # and no candidate is cut
+    alg = make_family(family, n, Field(p))
+    report = brute_force_aut(alg, budget=p ** (n * n))
+    assert (report.forced, report.pruned) == (forced, 0)
+    auts = _family_param_space(alg)
+    first = 2 if family == "nf" else 3
+    assert report.forced == sum(len({tuple(row[:d - 1] for row in m) for m in auts})
+                                for d in range(first, n + 1))
+
+
+@pytest.mark.parametrize(
+    "alg,counts",
+    [
+        # abelian over F2: the zero first column and, under each of the 3
+        # nonzero ones, the zero column and the first column again fail rank
+        (Algebra(2, Field(2), {}), (6, 10, 0, 7)),
+        # column 2 = (y^2, x^2) is forced under each of the 8 nonzero first
+        # columns (x, y); the zero one fails rank, as do the 2 forced columns
+        # with x = y, and 4 of the other 6 fail [e1, e2] = [e2, e1] = 0 or
+        # [e2, e2] = e1
+        (Algebra(2, F3, {(1, 1): [(2, 1)], (2, 2): [(1, 1)]}), (2, 11, 8, 7)),
+    ],
+    ids=["abelian-F2", "dependent-forced-F3"],
+)
+def test_walk_counters_by_hand(alg, counts):
+    report = brute_force_aut(alg)
+    assert (report.count, report.nodes, report.forced, report.pruned) == counts
 
 
 # -- characteristic subspaces -------------------------------------------------
