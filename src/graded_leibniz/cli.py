@@ -169,6 +169,7 @@ def _cmd_normalizer(args):
         "matches_family": report.holds,
         "torus_size": report.torus_size,
         "elapsed_ms": report.elapsed_ms,
+        "nodes": report.nodes,
         "note": report.note,
     }
     return doc, 0 if report.holds else 1

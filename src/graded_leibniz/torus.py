@@ -21,12 +21,15 @@ passing this test include N(T) within the family; when they are exactly
 the torus points, N(T) within the family is T.  Weights are compared as
 integers, not as torus values over F_p, where they collide for small p.
 
-Both that check and the exhaustive search compare against the set of
-all family matrices over F_p.  aut_matrix_nf/aut_matrix_f1 are the only
-home of the family formulas, but they are not called once per parameter
-point: with the leading units fixed, every entry is affine in the other
-parameters, so n calls (the origin and each unit direction) fix the
-whole affine span, which is then enumerated on raw ints mod p.
+aut_matrix_nf/aut_matrix_f1 are the only home of the family formulas,
+but they are not called once per parameter point: with the leading
+units fixed, every entry is affine in the other parameters, so n calls
+(the origin and each unit direction) fix the whole affine span, which is
+then walked on raw ints mod p.  The exhaustive search compares its
+automorphisms with the whole span.  The normalizer check builds only the
+matrices passing its test: the test is row by row, so the walk tests
+each row as soon as no later step can change it and cuts every matrix
+below a failing row.
 
 The exhaustive automorphism search (brute_force_aut) inverts nothing.
 Its product constraints are compiled once per search into per-depth
@@ -222,7 +225,7 @@ class AutSearchReport:
     pruned: int
 
 
-def _family_param_space(alg: Algebra):
+def _family_param_space(alg: Algebra, keep=None, calls: list | None = None):
     """All (family parametrization) automorphism matrices over F_p, as
     int tuples, keyed and deduplicated by matrix.  None when the family
     has no stored parametrization.
@@ -234,6 +237,11 @@ def _family_param_space(alg: Algebra):
     unit directions, so the family is evaluated there only (n calls per
     leading value) and _add_affine_span enumerates the span mod p on raw
     ints.  That gives the same set as evaluating every parameter point.
+
+    With keep, only the matrices whose every row r passes keep(r, row)
+    are returned, and the span walk prunes by it (see _add_affine_span)
+    instead of building the rest.  When calls is a list, the walk's call
+    count for each leading value is appended to it.
     """
     if alg.label not in TORUS_FAMILIES:
         return None
@@ -263,29 +271,49 @@ def _family_param_space(alg: Algebra):
         ]
         # densest step outermost, so the innermost loops rebuild fewest rows
         steps.sort(key=len, reverse=True)
-        _add_affine_span(matrices, base, steps, p)
+        settled = None
+        if keep is not None:
+            # a row is final once the last step touching it is assigned
+            last = {r: k + 1 for k, step in enumerate(steps) for r, _ in step}
+            settled = [[r for r in range(n) if last.get(r, 0) == k]
+                       for k in range(len(steps) + 1)]
+        visited = _add_affine_span(matrices, base, steps, p, keep, settled)
+        if calls is not None:
+            calls.append(visited)
     return matrices
 
 
-def _add_affine_span(out: set, point, steps, p: int) -> None:
-    """Add to out every point + sum t_k steps[k] mod p, t_k in 0..p-1.
+def _add_affine_span(out: set, point, steps, p: int, keep=None, settled=None, k: int = 0) -> int:
+    """Add to out every point + sum t_j steps[j] mod p, t_j in 0..p-1, for
+    j >= k; return the number of calls made, this one included.
 
     Matrices are tuples of row tuples and each step lists only the rows
-    it changes, as (row index, delta).  Kept at module level with out
-    passed in: a nested function calling itself would hold out in a
-    reference cycle, alive after the call until a gc pass.
+    it changes, as (row index, delta).  With keep, only points whose
+    every row r passes keep(r, row) are added: settled[k] lists the rows
+    steps[k - 1] changes and no later step does (settled[0] those no step
+    changes), so on entry their values are final for every point below,
+    and a failing one cuts the whole subtree.  Each row is thus tested
+    once per path, and the result is the unpruned span filtered by keep.
+    Kept at module level with out passed in: a nested function calling
+    itself would hold out in a reference cycle, alive after the call until
+    a gc pass.
     """
-    if not steps:
+    if keep is not None:
+        for r in settled[k]:
+            if not keep(r, point[r]):
+                return 1
+    if k == len(steps):
         out.add(point)
-        return
-    step, rest = steps[0], steps[1:]
-    _add_affine_span(out, point, rest, p)
+        return 1
+    visited = 1 + _add_affine_span(out, point, steps, p, keep, settled, k + 1)
+    step = steps[k]
     for _ in range(p - 1):
         rows = list(point)
         for r, delta in step:
             rows[r] = tuple((x + y) % p for x, y in zip(rows[r], delta))
         point = tuple(rows)
-        _add_affine_span(out, point, rest, p)
+        visited += _add_affine_span(out, point, steps, p, keep, settled, k + 1)
+    return visited
 
 
 def _matrix_key(m) -> tuple[tuple[int, ...], ...]:
@@ -567,33 +595,39 @@ FAMILY_SEARCH_NOTE = (
 @dataclass(frozen=True)
 class NormalizerReport:
     """normalizer_size counts the family matrices that pass the zero-pattern
-    test, which is |N(T) within the family| whenever holds is true."""
+    test, which is |N(T) within the family| whenever holds is true; nodes
+    counts the calls of the pruned span walk that found them."""
 
     holds: bool
     normalizer_size: int
     torus_size: int
     elapsed_ms: int
+    nodes: int
     note: str = FAMILY_SEARCH_NOTE
 
     def __bool__(self) -> bool:
         return self.holds
 
 
+def _row_keeps_torus_diagonal(row, weights) -> bool:
+    """True iff row is nonzero in columns of at most one weight class.
+
+    The row is rejected at its first nonzero column whose weight differs
+    from that of its first nonzero column."""
+    first = None
+    for w, x in zip(weights, row):
+        if x:
+            if first is None:
+                first = w
+            elif w != first:
+                return False
+    return True
+
+
 def _keeps_torus_diagonal(m, weights) -> bool:
     """True iff no row of m is nonzero in columns of two weight classes: for
-    invertible m, iff m P_w m^-1 is diagonal for every weight projector P_w.
-
-    A row is rejected at its first nonzero column whose weight differs
-    from that of the row's first nonzero column."""
-    for row in m:
-        first = None
-        for w, x in zip(weights, row):
-            if x:
-                if first is None:
-                    first = w
-                elif w != first:
-                    return False
-    return True
+    invertible m, iff m P_w m^-1 is diagonal for every weight projector P_w."""
+    return all(_row_keeps_torus_diagonal(row, weights) for row in m)
 
 
 def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> NormalizerReport:
@@ -602,6 +636,10 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     The family matrices over F_p passing _keeps_torus_diagonal include
     N(T) within the family (see module docstring), and T lies in N(T); so
     equality of that set with the torus point set shows N(T) = T there.
+    The test is row by row, so _family_param_space walks each leading
+    value's affine span with it and cuts a subtree at the first final row
+    that fails: only that set is built, not the whole family.  The budget
+    still gates on the family's size, not on the nodes walked.
     """
     p = alg.field.p
     if p is None:
@@ -615,13 +653,15 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     start = time.monotonic()
     ws = weight_system(alg.label, n)
 
-    normalizer = {m for m in _family_param_space(alg) if _keeps_torus_diagonal(m, ws.weights)}
+    calls: list[int] = []
+    normalizer = _family_param_space(
+        alg, lambda r, row: _row_keeps_torus_diagonal(row, ws.weights), calls)
 
     torus = {_matrix_key(torus_matrix(alg.field, ws, params))
              for params in itertools.product(alg.field.units(), repeat=ws.torus_rank)}
 
     elapsed = int((time.monotonic() - start) * 1000)
-    return NormalizerReport(normalizer == torus, len(normalizer), len(torus), elapsed)
+    return NormalizerReport(normalizer == torus, len(normalizer), len(torus), elapsed, sum(calls))
 
 
 # -- toral gradings --------------------------------------------------------

@@ -188,6 +188,7 @@ def _normalizer_claim(family, n, p):
             "holds": rep.holds,
             "normalizer_size": rep.normalizer_size,
             "torus_size": rep.torus_size,
+            "nodes": rep.nodes,
         }
 
     return _run(5, "normalizer-equals-torus", family, n, Field(p), body)

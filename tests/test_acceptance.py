@@ -98,6 +98,7 @@ def test_criterion_05_normalizer(claims_by_criterion):
             assert ("nf", n, f"F{p}") in seen
         for n in range(3, 6):
             assert ("f1", n, f"F{p}") in seen
+    assert all(c.detail["nodes"] > 0 for c in claims)
     _report(5, "maximal torus equals its own normalizer", claims)
 
 

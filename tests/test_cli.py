@@ -200,6 +200,7 @@ def test_normalizer_verb(capsys):
     assert doc["check"] == "normalizer"
     assert doc["count"] == 16 and doc["torus_size"] == 16
     assert doc["matches_family"] is True
+    assert doc["nodes"] > 0
     assert "note" in doc
 
 

@@ -39,6 +39,7 @@ from graded_leibniz.torus import (
     _characteristic_subspaces,
     _family_param_space,
     _keeps_torus_diagonal,
+    _row_keeps_torus_diagonal,
     family_counts,
 )
 
@@ -257,6 +258,50 @@ def test_family_space_matches_reference_loop(family, n, p):
     # nf 6 F5 and f1 5 F5 are the normalizer inputs of the benchmark
     alg = make_family(family, n, Field(p))
     assert _family_param_space(alg) == reference_family_space(alg)
+
+
+# the criterion 5 sizes (nf 2..5, f1 3..5 over F3 and F5), then F2 and F7
+# and n = 6; f1 6 F7 is left out, its full set has 605,052 matrices
+@pytest.mark.parametrize(
+    "family,n,p",
+    [("nf", n, p) for n in range(2, 7) for p in (2, 3, 5, 7)]
+    + [("f1", n, p) for n in range(3, 7) for p in (2, 3, 5, 7) if (n, p) != (6, 7)],
+)
+def test_pruned_family_space_is_the_filtered_family_space(family, n, p):
+    alg = make_family(family, n, Field(p))
+    weights = weight_system(family, n).weights
+    calls = []
+    pruned = _family_param_space(alg, lambda r, row: _row_keeps_torus_diagonal(row, weights), calls)
+    full = _family_param_space(alg)
+    assert pruned == {m for m in full if _keeps_torus_diagonal(m, weights)}
+    assert len(calls) == (p - 1) ** (1 if family == "nf" else 2)
+
+
+@st.composite
+def row_zero_patterns(draw):
+    """A small family algebra with its full matrix set, and per row a random
+    subset of the zero patterns that row takes in the family."""
+    family, n, p = draw(st.sampled_from(
+        [("nf", 3, 3), ("nf", 4, 3), ("nf", 4, 5), ("f1", 3, 5), ("f1", 4, 3), ("f1", 5, 2)]))
+    alg = make_family(family, n, Field(p))
+    full = _family_param_space(alg)
+    allowed = []
+    for r in range(n):
+        seen = sorted({tuple(bool(x) for x in m[r]) for m in full})
+        allowed.append(set(draw(st.lists(st.sampled_from(seen), unique=True))))
+    return alg, full, allowed
+
+
+@given(row_zero_patterns())
+@settings(max_examples=60, deadline=None)
+def test_pruned_family_space_with_any_row_predicate(case):
+    alg, full, allowed = case
+
+    def keep(r, row):
+        return tuple(bool(x) for x in row) in allowed[r]
+
+    filtered = {m for m in full if all(keep(r, row) for r, row in enumerate(m))}
+    assert _family_param_space(alg, keep) == filtered
 
 
 # -- exhaustive search oracle -------------------------------------------------
@@ -542,7 +587,8 @@ def test_brute_force_needs_prime_field():
 
 def test_searches_leave_no_reference_cycles():
     # a cycle through the walk's closure kept its matrices alive after the
-    # call until a gc pass
+    # call until a gc pass; at nf 6 F5 the normalizer's span walk cuts
+    # subtrees at every level
     alg = make_family("f1", 4, F3)
     gc.collect()
     gc.disable()
@@ -550,6 +596,8 @@ def test_searches_leave_no_reference_cycles():
         brute_force_aut(alg)
         assert gc.collect() == 0
         normalizer_equals_torus(alg)
+        assert gc.collect() == 0
+        normalizer_equals_torus(make_family("nf", 6, F5))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -587,9 +635,27 @@ def test_normalizer_various_sizes():
         ("nf", 6, 3, 2),
         ("nf", 7, 3, 2),
         ("f1", 6, 3, 4),
+        ("nf", 6, 5, 4),
+        ("nf", 7, 5, 4),
+        ("f1", 6, 5, 16),
+        ("f1", 7, 5, 16),
+        ("nf", 6, 7, 6),
+        ("nf", 7, 7, 6),
+        ("f1", 6, 7, 36),
+        ("f1", 7, 7, 36),
     ]:
         rep = normalizer_equals_torus(make_family(family, n, Field(p)))
         assert rep.holds and rep.normalizer_size == expected
+
+
+# the normalizer inputs of the benchmark, where the span walk used to build
+# all 12,500 and 10,000 family matrices
+@pytest.mark.parametrize("family,n,nodes", [("nf", 6, 104), ("f1", 5, 656)])
+def test_normalizer_nodes_at_benchmark_sizes(family, n, nodes):
+    rep = normalizer_equals_torus(make_family(family, n, F5))
+    assert rep.holds and rep.nodes == nodes
+    family_size, _ = family_counts(family, n, 5)
+    assert 10 * rep.nodes < family_size
 
 
 def conjugated_projectors(m, weights, p):
