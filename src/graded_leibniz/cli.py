@@ -135,6 +135,8 @@ def _cmd_gradings(args):
 
 
 def _cmd_aut_count(args):
+    if args.budget_ms is not None and not args.brute_force:
+        raise UsageError("--budget-ms applies only with --brute-force")
     alg = _load_algebra(args)
     if args.brute_force:
         report = brute_force_aut(alg, budget=_budget(args))

@@ -95,6 +95,8 @@ class Grading:
     @staticmethod
     def from_json(algebra: Algebra, doc: dict) -> "Grading":
         group = AbelianGroup.from_json(doc["group"])
+        if any(type(x) is not int for c in doc["degrees"] for x in c):  # element() truncates 1.5
+            raise ValueError(f"degrees {doc['degrees']!r} hold a coordinate that is not an int")
         return Grading(algebra, group, tuple(group.element(c) for c in doc["degrees"]))
 
 
@@ -198,13 +200,19 @@ def transport(grading: Grading, matrix) -> SubspaceGrading:
 
 
 def _normalize_partition(algebra: Algebra, partition) -> list[tuple[int, ...]]:
+    """The blocks, each sorted, ordered by least index; ValueError unless they
+    are nonempty, hold ints (no bool or float) and cover each index once."""
     if partition is None:
         return [(i,) for i in range(1, algebra.dim + 1)]
-    blocks = sorted((tuple(sorted(set(map(int, b)))) for b in partition), key=lambda b: b[0])
-    flat = sorted(i for b in blocks for i in b)
-    if flat != list(range(1, algebra.dim + 1)):
+    try:
+        blocks = [tuple(sorted(b)) if all(type(i) is int for i in b) else None for b in partition]
+    except TypeError:  # a partition or block that is not a collection
+        blocks = [None]
+    if not all(blocks):
+        raise ValueError("partition blocks must be nonempty collections of int indices")
+    if sorted(i for b in blocks for i in b) != list(range(1, algebra.dim + 1)):
         raise ValueError("partition must cover each basis index exactly once")
-    return blocks
+    return sorted(blocks, key=lambda b: b[0])
 
 
 def universal_grading(algebra: Algebra, partition=None):

@@ -22,10 +22,15 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # exact types: int() would read True as 1 and 2.5 as 2
+        if type(self.free_rank) is not int:
+            raise ValueError(f"free rank {self.free_rank!r} is not an int")
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(int(m) for m in self.torsion))
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         for m in self.torsion:
+            if type(m) is not int:
+                raise ValueError(f"invariant factor {m!r} is not an int")
             if m < 2:
                 raise ValueError(f"invariant factor {m} < 2")
         for a, b in zip(self.torsion, self.torsion[1:]):

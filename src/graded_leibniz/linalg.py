@@ -1,12 +1,14 @@
 """Exact linear algebra over a Field: row reduction, kernels, subspaces.
 
-Matrices are lists of row vectors.  Every row reduction over Q and F_p
-(here, in snf.int_matrix_inverse and in the torus searches) runs through
-one kernel, `rref`, on raw values: Fractions over Q, ints in [0, p) over
-F_p.  Subspaces hold their reduced row echelon basis as raw rows, so
-subspace equality is plain row comparison.  The Scalar helpers below
-(unit vectors, matrix products, `invert`) serve callers that work on
-Scalar matrices, such as torus.is_automorphism.
+Matrices are lists of row vectors of raw values: Fractions over Q, ints
+in [0, p) over F_p.  Every elimination runs through one of two loops:
+`rref` reduces a whole matrix (here, in snf.int_matrix_inverse and in
+the torus searches), and `reduce_vector` reduces one vector against
+echelon rows built so far, and can extend them by it (Subspace
+membership and complements, the automorphism walk's rank test).
+Subspaces hold their reduced row echelon basis as raw rows, so subspace
+equality is plain row comparison.  Scalars appear only in `_values`,
+which checks a Scalar matrix's field and reads off its raw values.
 """
 
 from __future__ import annotations
@@ -15,32 +17,6 @@ from fractions import Fraction
 
 from .errors import FieldMismatch
 from .fields import Field, Scalar
-
-
-def unit_vector(field: Field, n: int, i: int) -> list[Scalar]:
-    """Standard basis vector e_i, 1-based."""
-    v = [field.zero()] * n
-    v[i - 1] = field.one()
-    return v
-
-def identity_matrix(field: Field, n: int) -> list[list[Scalar]]:
-    return [unit_vector(field, n, i) for i in range(1, n + 1)]
-
-def mat_vec(m: list[list[Scalar]], v: list[Scalar]) -> list[Scalar]:
-    if m and len(m[0]) != len(v):
-        raise ValueError("matrix/vector length mismatch")
-    return [sum((row[j] * v[j] for j in range(len(v))), v[0].field.zero()) for row in m]
-
-def mat_mul(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
-    if len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    zero = a[0][0].field.zero()
-    bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), zero) for col in bt] for row in a]
-
-def column(m: list[list[Scalar]], j: int) -> list[Scalar]:
-    """Column j of a matrix, 1-based."""
-    return [row[j - 1] for row in m]
 
 
 def rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
@@ -79,6 +55,39 @@ def rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]
         if r == nrows:
             break
     return rows[:r], pivots
+
+
+def reduce_vector(rows: list[list], pivots: list[int], v,
+                  p: int | None = None, extend: bool = False):
+    """Residue of v after elimination against rows, all raw values already
+    reduced (Fractions over Q, ints in [0, p) over F_p); v itself when no
+    row touches it.
+
+    Row t must be 1 at column pivots[t] and 0 at the pivots of the rows
+    before it, as every RREF basis is; one pass in order then clears v
+    at every pivot.  With extend, a nonzero residue is scaled to 1 at its
+    first nonzero entry and appended to rows, that entry to pivots (so
+    they keep the form above), and the scaled residue is returned.
+    """
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            if p is None:
+                v = [x - f * y for x, y in zip(v, row)]
+            else:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+    if extend:
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            if p is None:
+                inv = 1 / v[lead]
+                v = [x * inv for x in v]
+            else:
+                inv = pow(v[lead], -1, p)
+                v = [x * inv % p for x in v]
+            rows.append(v)
+            pivots.append(lead)
+    return v
 
 
 def affine_solve(rows: list[list], ncols: int,
@@ -120,13 +129,6 @@ def _values(m: list[list[Scalar]], field: Field) -> list[list]:
     if any(s.field is not field and s.field != field for row in m for s in row):
         raise FieldMismatch(f"matrix over {field!r} holds scalars of another field")
     return [[s.value for s in row] for row in m]
-
-
-def invert(m: list[list[Scalar]]) -> list[list[Scalar]] | None:
-    """Matrix inverse over the field, or None when singular."""
-    field = m[0][0].field
-    inv = raw_inverse(_values(m, field), field.p)
-    return None if inv is None else [[Scalar(field, v) for v in row] for row in inv]
 
 
 #: the raw value types a Subspace accepts over Q and over F_p
@@ -171,14 +173,7 @@ class Subspace:
         self._check(v)
         p = self.field.p
         v = [Fraction(x) for x in v] if p is None else [x % p for x in v]
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
-            if f:
-                if p is None:
-                    v = [x - f * y for x, y in zip(v, row)]
-                else:
-                    v = [(x - f * y) % p for x, y in zip(v, row)]
-        return v
+        return reduce_vector(self.rows, self.pivots, v, p)
 
     def contains(self, v: list) -> bool:
         return not any(self.reduce(v))
@@ -199,12 +194,9 @@ class Subspace:
 
     def basis_complement_in(self, larger: "Subspace") -> list[list]:
         """Rows of `larger` extending this subspace's basis (representatives mod self)."""
-        stack, out = list(self.rows), []
-        for v in larger.rows:
-            if len(rref(stack + [v], self.field.p)[0]) > len(stack):
-                stack.append(v)
-                out.append(v)
-        return out
+        rows, pivots = list(self.rows), list(self.pivots)
+        return [v for v in larger.rows
+                if any(reduce_vector(rows, pivots, v, self.field.p, extend=True))]
 
     @staticmethod
     def full(field: Field, n: int) -> "Subspace":

@@ -44,9 +44,11 @@ subspaces built from the bracket alone (lower central series terms,
 annihilators, center, span of squares) onto itself, and f is a
 bijection, so f(e_d) lies in such a subspace S exactly when e_d does
 (Eick, Linear Algebra Appl. 382, 2004).
-Every kernel comes from linalg.affine_solve and every echelon form from
-linalg.rref; the series comes from algebras, its terms already raw rows
-mod p.
+Every kernel comes from linalg.affine_solve, every echelon form from
+linalg.rref and the rank test from linalg.reduce_vector; the series
+comes from algebras, its terms already raw rows mod p.  Scalar matrices
+(the family formulas, torus_matrix, is_automorphism's argument) are read
+into raw values once, by linalg._values.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .errors import (
 from .fields import Field, Scalar
 from .gradings import Grading, _coarsenings, coarsen
 from .groups import AbelianGroup, GroupElem
-from .linalg import affine_solve, column, identity_matrix, invert, mat_vec, rref
+from .linalg import _values, affine_solve, reduce_vector, rref
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -174,18 +176,22 @@ def aut_matrix_f1(n: int, params: AutParamsF1) -> list[list[Scalar]]:
 
 
 def is_automorphism(alg: Algebra, m: list[list[Scalar]]) -> bool:
-    """True iff m is invertible and preserves all basis products."""
-    n = alg.dim
+    """True iff m (column i the image of e_i) is invertible and preserves all
+    basis products: on raw values, full rank by rref, then M [e_i, e_j] =
+    [M e_i, M e_j] for every pair.  Scalars of another field raise FieldMismatch.
+    """
+    n, p = alg.dim, alg.field.p
     if len(m) != n or any(len(row) != n for row in m):
         return False
-    if invert(m) is None:
+    m = _values(m, alg.field)
+    if len(rref(m, p)[0]) < n:
         return False
-    cols = [column(m, i) for i in range(1, n + 1)]
-    basis = identity_matrix(alg.field, n)
-    return all(
-        mat_vec(m, alg.product(basis[i], basis[j])) == alg.product(cols[i], cols[j])
-        for i in range(n) for j in range(n)
-    )
+    cols = list(zip(*m))
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        image = [sum(c * row[k - 1] for k, c in alg.sc.get((i, j), ())) for row in m]
+        if [x if p is None else x % p for x in image] != alg.raw_product(cols[i - 1], cols[j - 1]):
+            return False
+    return True
 
 
 def torus_matrix(field: Field, ws: WeightSystem, params: tuple[Scalar, ...]) -> list[list[Scalar]]:
@@ -262,13 +268,12 @@ def _family_param_space(alg: Algebra, keep=None, calls: list | None = None):
                        for a1 in units for b2 in units]
     matrices = set()
     for origin, *along_units in evaluations:
-        base = _matrix_key(origin)
-        steps = [
-            tuple((r, tuple(x - y for x, y in zip(row, base_row)))
-                  for r, (row, base_row) in enumerate(zip(_matrix_key(m), base))
-                  if row != base_row)
-            for m in along_units
-        ]
+        base = tuple(map(tuple, _values(origin, field)))
+        steps = []
+        for m in along_units:
+            deltas = (tuple(x - y for x, y in zip(row, base_row))
+                      for row, base_row in zip(_values(m, field), base))
+            steps.append(tuple((r, delta) for r, delta in enumerate(deltas) if any(delta)))
         # densest step outermost, so the innermost loops rebuild fewest rows
         steps.sort(key=len, reverse=True)
         settled = None
@@ -314,10 +319,6 @@ def _add_affine_span(out: set, point, steps, p: int, keep=None, settled=None, k:
         point = tuple(rows)
         visited += _add_affine_span(out, point, steps, p, keep, settled, k + 1)
     return visited
-
-
-def _matrix_key(m) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(s.value for s in row) for row in m)
 
 
 def _reduced(rows, p: int) -> tuple[tuple[int, ...], ...]:
@@ -388,14 +389,15 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
       a coset too large can only cost time, never a wrong column.
     * M is invertible iff each column lies outside the span of the
       columns before it, so a prefix is cut as soon as its newest column
-      is dependent.  Every leaf is then invertible; nothing is inverted.
+      is dependent (linalg.reduce_vector against the placed columns'
+      echelon rows).  Every leaf is then invertible; nothing is inverted.
     * Every automorphism f maps each subspace S of
       _characteristic_subspaces onto itself, and f is a bijection, so
       f(e_d) lies in S exactly when e_d lies in f^-1(S) = S.  At an
       unforced depth d the equations of every S holding e_d join the
       column's linear system, and a solution lying in an S that does not
       hold e_d is dropped.  Forced columns are not filtered: the checks
-      and independent() already decide them, and filtering them too
+      and the rank test already decide them, and filtering them too
       slowed nf 4 over F_5 by a third (0.029 to 0.040 s) without saving a
       node.
 
@@ -526,26 +528,11 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
         return [x for x in coset
                 if all(any(sum(a * b for a, b in zip(e, x)) % p for e in eqs) for eqs in avoid[d])]
 
-    def independent(basis, col):
-        """The echelon row col adds to basis (pivot, row), or None if col is in its span.
+    # echelon rows of the placed columns; a column with zero residue ends its prefix
+    rows: list[list[int]] = []
+    pivots: list[int] = []
 
-        Each stored row is zero at the pivots of the rows before it, so one
-        pass in order reduces col, O(n) per placed column.  Re-running
-        rref on the placed columns plus col for every candidate
-        nearly doubled the whole search at f1 4 over F_5 (0.39 to 0.72 s).
-        """
-        v = list(col)
-        for piv, row in basis:
-            f = v[piv]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return None
-        inv = pow(v[lead], -1, p)
-        return lead, [x * inv % p for x in v]
-
-    def walk(d: int, basis: list) -> None:
+    def walk(d: int) -> None:
         nonlocal nodes, forced_cols, pruned
         nodes += 1
         if d > n:
@@ -560,17 +547,18 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
             candidates = solutions(d)
         depth_checks = checks[d]
         for col in candidates:
-            row = independent(basis, col)
-            if row is None:
+            if not any(reduce_vector(rows, pivots, col, p, extend=True)):
                 pruned += 1
                 continue
             cols[d] = col
             if violated(depth_checks):
                 pruned += 1
             else:
-                walk(d + 1, basis + [row])
+                walk(d + 1)
+            rows.pop()
+            pivots.pop()
 
-    walk(1, [])
+    walk(1)
     # walk reads itself through its closure cell; emptying the cell breaks
     # that cycle, so found, cols and by_depth are freed on return, not by gc
     del walk
@@ -657,7 +645,7 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     normalizer = _family_param_space(
         alg, lambda r, row: _row_keeps_torus_diagonal(row, ws.weights), calls)
 
-    torus = {_matrix_key(torus_matrix(alg.field, ws, params))
+    torus = {tuple(map(tuple, _values(torus_matrix(alg.field, ws, params), alg.field)))
              for params in itertools.product(alg.field.units(), repeat=ws.torus_rank)}
 
     elapsed = int((time.monotonic() - start) * 1000)

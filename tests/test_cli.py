@@ -336,6 +336,16 @@ def test_nonpositive_budget_ms_exits_two(capsys, verb, value):
     assert len(lines) == 1 and lines[0].startswith("error:") and "--budget-ms" in lines[0]
 
 
+def test_budget_ms_needs_brute_force(capsys):
+    # the family formula searches nothing, so there is no work for a budget to bound
+    code, out, err = run_cli(
+        capsys, "aut-count", "--family", "nf", "--dim", "3", "--field", "F3", "--budget-ms", "5"
+    )
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--brute-force" in lines[0]
+
+
 def test_argparse_usage_exit_code():
     proc = run_module("no-such-verb")
     assert proc.returncode == 2

@@ -139,6 +139,28 @@ def test_partition_validation():
         universal_grading(alg, partition=[(1, 2), (2, 3)])  # duplicates 2
 
 
+@pytest.mark.parametrize(
+    "partition",
+    [[[1], [2], [3], []], [[1.7], [2], [3]], [[True], [2], [3]], [[1, 1], [2], [3]],
+     [[1, 2], ["3"]], [[0], [1, 2, 3]], [1, 2, 3]],
+    ids=["empty-block", "float", "bool", "repeated", "string", "zero", "flat"],
+)
+def test_partition_refuses_what_is_not_a_partition(partition):
+    # coercing with int() would read 1.7, True and "3" as indices, and a set
+    # would merge the repeated one; an empty block has no least index
+    with pytest.raises(ValueError):
+        universal_grading(make_family("nf", 3), partition)
+
+
+def test_grading_from_json_refuses_non_int_degrees():
+    alg = make_family("nf", 2)
+    doc = z_grading(alg, [1, 2]).to_json()
+    for bad in ([1.5], [True], ["1"]):
+        # element() would truncate 1.5 to 1
+        with pytest.raises(ValueError):
+            Grading.from_json(alg, dict(doc, degrees=[bad, [2]]))
+
+
 def test_coarsen_chain_to_parity():
     alg = make_family("nf", 4)
     _, base = universal_grading(alg)

@@ -25,6 +25,18 @@ def test_invariant_factor_validation():
     AbelianGroup(2, (3, 3))
 
 
+@pytest.mark.parametrize(
+    "rank,torsion",
+    [(True, ()), (1.0, ()), (0, (2.5,)), (1, (True, 2)), (0, (4.0,)), (True, (2.5,))],
+)
+def test_group_refuses_non_int_rank_and_factors(rank, torsion):
+    # coercing with int() would build Z x Z2 from AbelianGroup(True, (2.5,))
+    with pytest.raises(ValueError):
+        AbelianGroup(rank, torsion)
+    with pytest.raises(ValueError):
+        AbelianGroup.from_json({"rank": rank, "torsion": list(torsion)})
+
+
 def test_parse():
     assert AbelianGroup.parse("trivial") == AbelianGroup()
     assert AbelianGroup.parse("Z") == AbelianGroup(1)

@@ -7,25 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graded_leibniz import Field, FieldMismatch, QQ, Subspace
-from graded_leibniz.linalg import (
-    affine_solve,
-    column,
-    identity_matrix,
-    invert,
-    mat_mul,
-    mat_vec,
-    raw_inverse,
-    rref,
-    unit_vector,
-)
+from graded_leibniz import Field, QQ, Subspace
+from graded_leibniz.linalg import affine_solve, raw_inverse, reduce_vector, rref
 from graded_leibniz.snf import det_int, int_mat_mul
 
 F5 = Field(5)
-
-
-def mat(field, rows):
-    return [[field.scalar(x) for x in row] for row in rows]
 
 
 def small_int_matrix():
@@ -39,34 +25,14 @@ def small_int_matrix():
     )
 
 
-def small_matrix(field):
-    return small_int_matrix().map(lambda rows: mat(field, rows))
-
-
-def test_unit_vector_is_one_based():
-    v = unit_vector(QQ, 3, 1)
-    assert [x.value for x in v] == [1, 0, 0]
-
-
-def test_column_is_one_based():
-    m = mat(QQ, [[1, 2], [3, 4]])
-    assert [x.value for x in column(m, 2)] == [2, 4]
-
-
-def test_mat_vec_shape_check():
-    with pytest.raises(ValueError):
-        mat_vec(mat(QQ, [[1, 2]]), [QQ.one()])
-
-
 def test_invert_known_matrix():
-    m = mat(QQ, [[2, 1], [1, 1]])
-    inv = invert(m)
-    assert mat_mul(m, inv) == identity_matrix(QQ, 2)
+    assert raw_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert raw_inverse([[2, 1], [1, 1]], 5) == [[1, 4], [4, 2]]
 
 
 def test_invert_singular_returns_none():
-    assert invert(mat(QQ, [[1, 2], [2, 4]])) is None
-    assert invert(mat(F5, [[1, 2], [2, 4]])) is None
+    assert raw_inverse([[1, 2], [2, 4]]) is None
+    assert raw_inverse([[1, 2], [2, 4]], 5) is None
 
 
 @given(small_int_matrix(), st.sampled_from([None, 5]))
@@ -86,21 +52,14 @@ def test_kernel_vectors_annihilate(m):
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
 
 
-@given(small_matrix(F5).filter(lambda m: len(m) == len(m[0])))
+@given(small_int_matrix().filter(lambda m: len(m) == len(m[0])))
 def test_invert_round_trip(m):
-    inv = invert(m)
+    inv = raw_inverse(m, 5)
     if inv is not None:
         n = len(m)
-        assert mat_mul(m, inv) == identity_matrix(F5, n)
-        assert mat_mul(inv, m) == identity_matrix(F5, n)
-
-
-def test_mixed_fields_are_rejected():
-    mixed = [[QQ.one(), F5.one()], [QQ.zero(), QQ.one()]]
-    with pytest.raises(FieldMismatch):
-        invert(mixed)
-    # an equal but distinct field object is the same field
-    assert invert([[Field(5).one(), F5.one()], [F5.zero(), F5.one()]]) is not None
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert [[x % 5 for x in row] for row in int_mat_mul(m, inv)] == identity
+        assert [[x % 5 for x in row] for row in int_mat_mul(inv, m)] == identity
 
 
 def test_subspace_equality_is_basis_independent():
@@ -211,6 +170,75 @@ def test_rref_skips_a_column_without_pivot():
     singular = [[0, 1], [0, 1]]
     assert rref(singular, 5) == ([[0, 1]], [1])
     assert rref([], 5) == ([], [])
+
+
+# -- reduction against echelon rows ------------------------------------------
+
+
+def vectors_and_probe():
+    """(n, vectors, probe): up to five vectors of length n and one more."""
+    entry = st.integers(min_value=-6, max_value=6)
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5),
+            st.lists(entry, min_size=n, max_size=n),
+        )
+    )
+
+
+FIELDS = st.sampled_from([None, 2, 3, 5, 7])
+
+
+def rank(rows, p):
+    return len(rref(rows, p)[0])
+
+
+@given(vectors_and_probe(), FIELDS)
+def test_reduce_vector_agrees_with_rref_rank_and_membership(case, p):
+    _, vectors, probe = case
+    # reduce_vector takes raw values as Subspace holds them
+    *vectors, probe = ([Fraction(x) if p is None else x % p for x in v] for v in vectors + [probe])
+    rows, pivots = [], []
+    for k, v in enumerate(vectors, start=1):
+        grew = any(reduce_vector(rows, pivots, v, p, extend=True))
+        assert len(rows) == rank(vectors[:k], p)
+        assert grew == (rank(vectors[:k], p) > rank(vectors[:k - 1], p))
+    # the rows keep the form reduce_vector asks for, and span the vectors
+    for t, (row, c) in enumerate(zip(rows, pivots)):
+        assert row[c] == 1 and not any(row[b] for b in pivots[:t])
+    assert rref(rows, p) == rref(vectors, p)
+    # the residue is zero exactly on the span, and differs from the probe by
+    # a vector of the span
+    residue = reduce_vector(rows, pivots, probe, p)
+    assert (not any(residue)) == (rank(vectors + [probe], p) == len(rows))
+    assert rank(rows + [[x - y for x, y in zip(probe, residue)]], p) == len(rows)
+    assert not any(residue[c] for c in pivots)
+    assert len(rows) == len(pivots) == rank(vectors, p)  # no extend, no new row
+
+
+def reference_complement(small, large):
+    """The greedy definition: each row of large that raises the rank of
+    the rows kept so far, tested by one rref per row."""
+    p = small.field.p
+    stack, out = list(small.rows), []
+    for v in large.rows:
+        if len(rref(stack + [v], p)[0]) > len(stack):
+            stack.append(v)
+            out.append(v)
+    return out
+
+
+@given(vectors_and_probe(), st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+                                     max_size=4), FIELDS)
+def test_basis_complement_matches_rref_per_row(case, more, p):
+    n, vectors, _ = case
+    field = QQ if p is None else Field(p)
+    small = Subspace(field, n, vectors)
+    large = Subspace(field, n, vectors + [v[:n] for v in more])
+    ext = small.basis_complement_in(large)
+    assert ext == reference_complement(small, large)
+    assert len(ext) == large.dim - small.dim
 
 
 # -- the affine solver ----------------------------------------------------------

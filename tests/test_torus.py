@@ -34,7 +34,8 @@ from graded_leibniz import (
     verify_grading,
     weight_system,
 )
-from graded_leibniz.linalg import mat_mul, raw_inverse, rref
+from graded_leibniz.linalg import raw_inverse, rref
+from graded_leibniz.snf import det_int, int_mat_mul
 from graded_leibniz.torus import (
     _characteristic_subspaces,
     _family_param_space,
@@ -183,7 +184,7 @@ def test_nf_family_closed_under_composition(a1, a2, bs1, bs2):
     alg = make_family("nf", n, F5)
     m1 = aut_matrix_nf(n, AutParamsNF(F5.scalar(a1), tuple(F5.scalar(b) for b in bs1)))
     m2 = aut_matrix_nf(n, AutParamsNF(F5.scalar(a2), tuple(F5.scalar(b) for b in bs2)))
-    prod = mat_mul(m1, m2)
+    prod = scal(F5, int_mat_mul(values(m1), values(m2)))
     assert is_automorphism(alg, prod)
     # composition stays in the family: same first-column/diagonal shape
     assert all(prod[i - 1][j - 1].value == 0 for i in range(1, n + 1) for j in range(i + 1, n + 1))
@@ -198,6 +199,73 @@ def test_is_automorphism_rejects_singular_and_misshapen():
     alg = make_family("nf", 3)
     assert not is_automorphism(alg, scal(QQ, [[0, 0, 0], [0, 0, 0], [0, 0, 0]]))
     assert not is_automorphism(alg, scal(QQ, [[1, 0], [0, 1]]))
+
+
+def reference_is_automorphism(alg, m):
+    """is_automorphism on Scalars, for a matrix of small int entries: a
+    determinant nonzero in the field, then M [e_i, e_j] = [M e_i, M e_j]."""
+    n, field = alg.dim, alg.field
+    if not field.scalar(det_int([[int(s.value) for s in row] for row in m])):
+        return False
+    e = [[field.scalar(int(i == j)) for j in range(n)] for i in range(n)]
+    cols = [[row[i] for row in m] for i in range(n)]
+
+    def apply(v):
+        return [sum((row[k] * v[k] for k in range(n)), field.zero()) for row in m]
+
+    return all(apply(alg.product(e[i], e[j])) == alg.product(cols[i], cols[j])
+               for i in range(n) for j in range(n))
+
+
+@st.composite
+def algebra_and_matrix(draw):
+    """A small family or abelian algebra over Q, F2, F3 or F5 and a square
+    matrix over its field with entries in -2..2, often zero."""
+    field = draw(st.sampled_from([QQ, Field(2), F3, F5]))
+    family = draw(st.sampled_from(["nf", "f1", "f2", "lie_l", "abelian"]))
+    n = draw(st.integers(min_value=1 if family == "abelian" else 2, max_value=3))
+    alg = Algebra(n, field, {}) if family == "abelian" else make_family(family, n, field)
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return alg, scal(field, rows)
+
+
+@given(algebra_and_matrix())
+@example((make_family("nf", 2, F3), scal(F3, [[2, 0], [1, 1]])))
+@example((make_family("f1", 3), scal(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])))
+@example((Algebra(2, F5, {}), scal(F5, [[1, 2], [2, 4]])))
+# a torus point of a family with constant -1: unreduced, c * m[r][k] reads 4, not 1
+@example((make_family("lie_l", 3, F3), scal(F3, [[2, 0, 0], [0, 1, 0], [0, 0, 2]])))
+@settings(max_examples=150)
+def test_is_automorphism_agrees_with_scalar_reference(case):
+    alg, m = case
+    assert is_automorphism(alg, m) == reference_is_automorphism(alg, m)
+
+
+@pytest.mark.parametrize("family,n", [("nf", 2), ("nf", 3), ("nf", 4), ("f1", 3), ("f1", 4)])
+def test_is_automorphism_holds_on_every_walk_result(family, n):
+    alg = make_family(family, n, F3)
+    report = brute_force_aut(alg)
+    # all_in_family says the walk found exactly the family's matrices
+    assert report.all_in_family is True
+    found = _family_param_space(alg)
+    assert len(found) == report.count
+    assert all(is_automorphism(alg, scal(F3, m)) for m in found)
+
+
+@given(algebra_and_matrix(), st.data())
+@settings(max_examples=60)
+def test_is_automorphism_rejects_mixed_fields(case, data):
+    alg, m = case
+    n = alg.dim
+    other = data.draw(st.sampled_from([f for f in (QQ, Field(2), F3, F5) if f != alg.field]))
+    r, c = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    m[r][c] = other.scalar(data.draw(st.integers(0, 1)))
+    with pytest.raises(FieldMismatch):
+        is_automorphism(alg, m)
+    # an equal but distinct field object is the same field
+    m[r][c] = Field(alg.field.p).one()
+    is_automorphism(alg, m)
 
 
 def test_torus_matrix_nf():
