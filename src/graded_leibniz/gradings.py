@@ -95,9 +95,12 @@ class Grading:
     @staticmethod
     def from_json(algebra: Algebra, doc: dict) -> "Grading":
         group = AbelianGroup.from_json(doc["group"])
-        if any(type(x) is not int for c in doc["degrees"] for x in c):  # element() truncates 1.5
-            raise ValueError(f"degrees {doc['degrees']!r} hold a coordinate that is not an int")
-        return Grading(algebra, group, tuple(group.element(c) for c in doc["degrees"]))
+        degrees = doc["degrees"]
+        # exact types: element() would truncate 1.5, and a bare int is no coordinate list
+        if type(degrees) is not list or any(
+                type(c) is not list or any(type(x) is not int for x in c) for c in degrees):
+            raise ValueError(f"degrees {degrees!r} are not lists of int coordinates")
+        return Grading(algebra, group, tuple(group.element(c) for c in degrees))
 
 
 def trivial_grading(algebra: Algebra) -> Grading:

@@ -27,6 +27,8 @@ class AbelianGroup:
             raise ValueError(f"free rank {self.free_rank!r} is not an int")
         if self.free_rank < 0:
             raise ValueError("negative free rank")
+        if not isinstance(self.torsion, (tuple, list)):  # tuple() raises TypeError on an int
+            raise ValueError(f"torsion {self.torsion!r} is not a tuple of invariant factors")
         object.__setattr__(self, "torsion", tuple(self.torsion))
         for m in self.torsion:
             if type(m) is not int:
@@ -81,7 +83,7 @@ class AbelianGroup:
 
     @staticmethod
     def from_json(doc: dict) -> "AbelianGroup":
-        return AbelianGroup(doc["rank"], tuple(doc["torsion"]))
+        return AbelianGroup(doc["rank"], doc["torsion"])
 
     @staticmethod
     def parse(name: str) -> "AbelianGroup":

@@ -1,14 +1,16 @@
 """Exact linear algebra over a Field: row reduction, kernels, subspaces.
 
 Matrices are lists of row vectors of raw values: Fractions over Q, ints
-in [0, p) over F_p.  Every elimination runs through one of two loops:
-`rref` reduces a whole matrix (here, in snf.int_matrix_inverse and in
-the torus searches), and `reduce_vector` reduces one vector against
-echelon rows built so far, and can extend them by it (Subspace
-membership and complements, the automorphism walk's rank test).
-Subspaces hold their reduced row echelon basis as raw rows, so subspace
-equality is plain row comparison.  Scalars appear only in `_values`,
-which checks a Scalar matrix's field and reads off its raw values.
+in [0, p) over F_p.  Every elimination runs through one loop,
+`reduce_vector`, which reduces one vector against echelon rows built so
+far and can extend them by it (the automorphism walk's rank test,
+Subspace membership and complements).  `rref` reduces a whole matrix on
+it: for Subspace, affine_solve, raw_inverse (and through it
+snf.int_matrix_inverse), SubspaceGrading, is_automorphism and the torus
+searches' systems.  Subspaces hold their reduced row echelon basis as raw
+rows, so subspace equality is plain row comparison.  Scalars appear only
+in `_values`, which checks a Scalar matrix's field and reads off its raw
+values.
 """
 
 from __future__ import annotations
@@ -23,38 +25,20 @@ def rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]
     """Reduced row echelon form of raw values; returns (nonzero rows, 0-based pivots).
 
     Entries are Fractions when p is None (ints are promoted to Fractions)
-    and ints reduced mod p otherwise.
+    and ints reduced mod p otherwise.  Each row is reduced against the
+    echelon rows before it and kept when a residue is left (reduce_vector
+    with extend); then each kept row, last first, is cleared at the pivots
+    of the rows after it, and the rows are sorted by pivot.
     """
-    if p is None:
-        rows = [[Fraction(x) for x in row] for row in rows]
-    else:
-        rows = [[x % p for x in row] for row in rows]
-    nrows = len(rows)
+    out: list[list] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        if p is None:
-            inv = 1 / rows[r][c]
-            prow = rows[r] = [x * inv for x in rows[r]]
-        else:
-            inv = pow(rows[r][c], -1, p)
-            prow = rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                if p is None:
-                    rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-                else:
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+    for row in rows:
+        v = [Fraction(x) for x in row] if p is None else [x % p for x in row]
+        reduce_vector(out, pivots, v, p, extend=True)
+    for s in range(len(out) - 2, -1, -1):
+        out[s] = reduce_vector(out[s + 1:], pivots[s + 1:], out[s], p)
+    order = sorted(range(len(out)), key=pivots.__getitem__)
+    return [out[t] for t in order], [pivots[t] for t in order]
 
 
 def reduce_vector(rows: list[list], pivots: list[int], v,

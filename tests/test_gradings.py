@@ -159,6 +159,12 @@ def test_grading_from_json_refuses_non_int_degrees():
         # element() would truncate 1.5 to 1
         with pytest.raises(ValueError):
             Grading.from_json(alg, dict(doc, degrees=[bad, [2]]))
+    # degrees that are not a list of coordinate lists
+    for bad in ([1, 2], [[1], None], 12):
+        with pytest.raises(ValueError):
+            Grading.from_json(alg, dict(doc, degrees=bad))
+    with pytest.raises(ValueError):
+        Grading.from_json(alg, dict(doc, group={"rank": 1, "torsion": 2}))
 
 
 def test_coarsen_chain_to_parity():

@@ -27,14 +27,16 @@ def test_invariant_factor_validation():
 
 @pytest.mark.parametrize(
     "rank,torsion",
-    [(True, ()), (1.0, ()), (0, (2.5,)), (1, (True, 2)), (0, (4.0,)), (True, (2.5,))],
+    [(True, ()), (1.0, ()), (0, (2.5,)), (1, (True, 2)), (0, (4.0,)), (True, (2.5,)),
+     (1, 2), (1, None)],
 )
 def test_group_refuses_non_int_rank_and_factors(rank, torsion):
-    # coercing with int() would build Z x Z2 from AbelianGroup(True, (2.5,))
+    # coercing with int() would build Z x Z2 from AbelianGroup(True, (2.5,));
+    # a torsion that is not a sequence once raised TypeError
     with pytest.raises(ValueError):
         AbelianGroup(rank, torsion)
     with pytest.raises(ValueError):
-        AbelianGroup.from_json({"rank": rank, "torsion": list(torsion)})
+        AbelianGroup.from_json({"rank": rank, "torsion": torsion})
 
 
 def test_parse():

@@ -12,6 +12,7 @@ from graded_leibniz.linalg import affine_solve, raw_inverse, reduce_vector, rref
 from graded_leibniz.snf import det_int, int_mat_mul
 
 F5 = Field(5)
+FIELDS = st.sampled_from([None, 2, 3, 5, 7])
 
 
 def small_int_matrix():
@@ -172,6 +173,48 @@ def test_rref_skips_a_column_without_pivot():
     assert rref([], 5) == ([], [])
 
 
+def rows_with_repeats():
+    """Up to eight rows of length at most 4, drawn from a few distinct rows
+    and the zero row, so zero and duplicate rows are common."""
+    entry = st.integers(min_value=-4, max_value=4)
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4)
+        .flatmap(lambda pool: st.lists(st.sampled_from(pool + [[0] * n]), max_size=8))
+    )
+
+
+def minor_rank(rows, p):
+    """Size of the largest square submatrix with nonzero determinant (mod p)."""
+    ncols = len(rows[0]) if rows else 0
+    for k in range(min(len(rows), ncols), 0, -1):
+        for rs in itertools.combinations(rows, k):
+            for cs in itertools.combinations(range(ncols), k):
+                det = det_int([[row[c] for c in cs] for row in rs])
+                if (det if p is None else det % p):
+                    return k
+    return 0
+
+
+@given(rows_with_repeats(), FIELDS)
+def test_rref_is_reduced_spans_its_input_and_has_the_minor_rank(rows, p):
+    out, pivots = rref(rows, p)
+    if p is None:
+        assert all(type(x) is Fraction for row in out for x in row)
+    else:
+        assert all(type(x) is int and 0 <= x < p for row in out for x in row)
+    assert len(out) == len(pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for t, (row, c) in enumerate(zip(out, pivots)):
+        # 1 at its pivot, its first nonzero entry; every other row is 0 there
+        assert row[c] == 1 and not any(row[:c])
+        assert all(other[c] == 0 for s, other in enumerate(out) if s != t)
+    # each input row is the combination of the output rows read off at the pivots
+    for w in rows:
+        combo = [sum(w[c] * row[j] for row, c in zip(out, pivots)) for j in range(len(w))]
+        assert combo == w if p is None else [x % p for x in combo] == [x % p for x in w]
+    assert len(out) == minor_rank(rows, p)
+
+
 # -- reduction against echelon rows ------------------------------------------
 
 
@@ -185,9 +228,6 @@ def vectors_and_probe():
             st.lists(entry, min_size=n, max_size=n),
         )
     )
-
-
-FIELDS = st.sampled_from([None, 2, 3, 5, 7])
 
 
 def rank(rows, p):
