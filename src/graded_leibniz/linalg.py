@@ -56,8 +56,8 @@ def reduce_vector(rows: list[list], pivots: list[int], v,
     for row, c in zip(rows, pivots):
         f = v[c]
         if f:
-            if p is None:
-                v = [x - f * y for x, y in zip(v, row)]
+            if p is None:  # skipping y == 0 saves a Fraction product per zero of row
+                v = [x - f * y if y else x for x, y in zip(v, row)]
             else:
                 v = [(x - f * y) % p for x, y in zip(v, row)]
     if extend:

@@ -32,11 +32,13 @@ def test_invariant_factor_validation():
 )
 def test_group_refuses_non_int_rank_and_factors(rank, torsion):
     # coercing with int() would build Z x Z2 from AbelianGroup(True, (2.5,));
-    # a torsion that is not a sequence once raised TypeError
+    # a torsion that is not a sequence once raised TypeError. Sequences reach
+    # from_json as JSON lists, as in a real document.
     with pytest.raises(ValueError):
         AbelianGroup(rank, torsion)
+    doc_torsion = list(torsion) if isinstance(torsion, tuple) else torsion
     with pytest.raises(ValueError):
-        AbelianGroup.from_json({"rank": rank, "torsion": torsion})
+        AbelianGroup.from_json({"rank": rank, "torsion": doc_torsion})
 
 
 def test_parse():
