@@ -1,42 +1,65 @@
 """Exact linear algebra over a Field: row reduction, kernels, subspaces.
 
-Matrices are lists of row vectors of raw values: Fractions over Q, ints
-in [0, p) over F_p.  Every elimination runs through one loop,
+Matrices are lists of row vectors of raw values: ints and Fractions over
+Q, ints in [0, p) over F_p.  Every elimination runs through one loop,
 `reduce_vector`, which reduces one vector against echelon rows built so
 far and can extend them by it (the automorphism walk's rank test,
-Subspace membership and complements).  `rref` reduces a whole matrix on
-it: for Subspace, affine_solve, raw_inverse (and through it
+Subspace membership and complements).  Over F_p an echelon row is 1 at
+its pivot; over Q its pivot entry need not be 1.  `rref` reduces a whole
+matrix on it: for Subspace, affine_solve, raw_inverse (and through it
 snf.int_matrix_inverse), SubspaceGrading, is_automorphism and the torus
-searches' systems.  Subspaces hold their reduced row echelon basis as raw
-rows, so subspace equality is plain row comparison.  Scalars appear only
-in `_values`, which checks a Scalar matrix's field and reads off its raw
-values.
+searches' systems.  Over Q it is fraction-free: it eliminates on integer
+rows divided by their content and builds Fractions only for the rows it
+returns.  Subspaces hold their reduced row echelon basis as raw
+rows (Fractions over Q, 1 at each pivot), so subspace equality is plain
+row comparison.  Scalars appear only in `_values`, which checks a Scalar
+matrix's field and reads off its raw values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import FieldMismatch
 from .fields import Field, Scalar
 
 
+#: one zero serves every returned row over Q: Fractions are immutable
+_ZERO = Fraction(0)
+
+
 def rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of raw values; returns (nonzero rows, 0-based pivots).
 
-    Entries are Fractions when p is None (ints are promoted to Fractions)
-    and ints reduced mod p otherwise.  Each row is reduced against the
-    echelon rows before it and kept when a residue is left (reduce_vector
-    with extend); then each kept row, last first, is cleared at the pivots
-    of the rows after it, and the rows are sorted by pivot.
+    Entries are Fractions when p is None (ints and Fractions in) and ints
+    reduced mod p otherwise.  Each row is reduced against the echelon rows
+    before it and kept when a residue is left (reduce_vector with extend);
+    then each kept row, last first, is cleared at the pivots of the rows
+    after it, and the rows are sorted by pivot.  Over Q the elimination
+    runs on integer rows: each input row is multiplied by the lcm of its
+    denominators, each kept row is divided by its content, and the rows
+    are scaled to 1 at their pivots, as Fractions, only on return.
     """
     out: list[list] = []
     pivots: list[int] = []
     for row in rows:
-        v = [Fraction(x) for x in row] if p is None else [x % p for x in row]
+        if p is not None:
+            v = [x % p for x in row]
+        elif all(type(x) is int for x in row):
+            v = list(row)
+        else:  # ints and Fractions: clear the denominators
+            d = lcm(*{x.denominator for x in row})
+            v = [x.numerator * (d // x.denominator) for x in row]
         reduce_vector(out, pivots, v, p, extend=True)
     for s in range(len(out) - 2, -1, -1):
-        out[s] = reduce_vector(out[s + 1:], pivots[s + 1:], out[s], p)
+        v = reduce_vector(out[s + 1:], pivots[s + 1:], out[s], p)
+        if p is None and v[pivots[s]] != 1:  # a row led by 1 is primitive
+            g = gcd(*v)  # positive: the leading entry was only multiplied by positive pivots
+            v = [x // g for x in v]
+        out[s] = v
+    if p is None:
+        out = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(out, pivots)]
     order = sorted(range(len(out)), key=pivots.__getitem__)
     return [out[t] for t in order], [pivots[t] for t in order]
 
@@ -44,31 +67,44 @@ def rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]
 def reduce_vector(rows: list[list], pivots: list[int], v,
                   p: int | None = None, extend: bool = False):
     """Residue of v after elimination against rows, all raw values already
-    reduced (Fractions over Q, ints in [0, p) over F_p); v itself when no
-    row touches it.
+    reduced (ints or Fractions over Q, ints in [0, p) over F_p); v itself
+    when no row touches it.
 
-    Row t must be 1 at column pivots[t] and 0 at the pivots of the rows
-    before it, as every RREF basis is; one pass in order then clears v
-    at every pivot.  With extend, a nonzero residue is scaled to 1 at its
-    first nonzero entry and appended to rows, that entry to pivots (so
-    they keep the form above), and the scaled residue is returned.
+    Row t must be nonzero at column pivots[t] and 0 at the pivots of the
+    rows before it, as every echelon basis is; one pass in order then
+    clears v at every pivot.  Over F_p every pivot entry must be 1.  Over
+    Q a row with pivot entry a != 1 updates v to a*v - f*row, so the
+    residue is v minus a combination of rows only up to a nonzero factor;
+    against rows that are 1 at their pivots (a Subspace basis) it is
+    exactly v - sum v[c]*row.  With extend, a nonzero residue is appended
+    to rows and its first nonzero entry to pivots (so they keep the form
+    above), and returned: an all-int residue over Q divided by its content
+    with its leading entry made positive, any other scaled to 1 there.
     """
     for row, c in zip(rows, pivots):
         f = v[c]
         if f:
-            if p is None:  # skipping y == 0 saves a Fraction product per zero of row
-                v = [x - f * y if y else x for x, y in zip(v, row)]
+            if p is None:
+                a = row[c]
+                if a == 1:  # skipping y == 0 saves a product per zero of row
+                    v = [x - f * y if y else x for x, y in zip(v, row)]
+                else:  # clears v[c] and keeps an integer v integral
+                    v = [a * x - f * y if y else a * x for x, y in zip(v, row)]
             else:
                 v = [(x - f * y) % p for x, y in zip(v, row)]
     if extend:
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is not None:
-            if p is None:
-                inv = 1 / v[lead]
-                v = [x * inv for x in v]
-            else:
+            if p is not None:
                 inv = pow(v[lead], -1, p)
                 v = [x * inv % p for x in v]
+            elif all(type(x) is int for x in v):
+                if v[lead] != 1:  # primitive, leading entry positive; a row led by 1 already is
+                    g = gcd(*v) if v[lead] > 0 else -gcd(*v)
+                    v = [x // g for x in v]
+            else:
+                inv = 1 / Fraction(v[lead])
+                v = [x * inv for x in v]
             rows.append(v)
             pivots.append(lead)
     return v

@@ -498,10 +498,20 @@ def run_all(max_dim: int | None = None, threads: int | None = None) -> list[Clai
 def summarize(claims: list[Claim], elapsed_ms: int) -> dict:
     """The verify-paper report; elapsed_ms is the run's wall time, not the
     sum of per-claim times, which overstates it when claims overlap in a
-    worker pool."""
+    worker pool.  `criteria` rolls the claims up per criterion: how many,
+    how many failed, and the sum of their elapsed_ms."""
     failed = [c for c in claims if not c.passed]
+    criteria: dict[str, dict] = {}
+    for n in sorted({c.criterion for c in claims}):
+        mine = [c for c in claims if c.criterion == n]
+        criteria[str(n)] = {
+            "claims": len(mine),
+            "failed": sum(not c.passed for c in mine),
+            "elapsed_ms": sum(c.elapsed_ms for c in mine),
+        }
     return {
         "claims": [c.to_json() for c in claims],
+        "criteria": criteria,
         "total": len(claims),
         "passed": len(claims) - len(failed),
         "failed": len(failed),

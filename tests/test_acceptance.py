@@ -21,6 +21,7 @@ from graded_leibniz import (
     universal_grading,
     weight_system,
 )
+from graded_leibniz.verification import summarize
 
 
 def _report(number, title, claims, extra_ok=True, notes=""):
@@ -149,6 +150,23 @@ def test_criterion_10_integer_normal_form_suites(claims_by_criterion):
     assert detail["snf-random-suite"].get("trials") == 1000
     assert detail["coarsening-random-suite"].get("coarsenings") == 200
     _report(10, "randomized Smith-form and coarsening suites", claims)
+
+
+def test_report_rolls_claims_up_per_criterion(claims_by_criterion):
+    claims = [c for n in sorted(claims_by_criterion) for c in claims_by_criterion[n]]
+    report = summarize(claims, elapsed_ms=0)
+    criteria = report["criteria"]
+    assert list(criteria) == [str(n) for n in sorted(claims_by_criterion)]
+    for n, bucket in claims_by_criterion.items():
+        assert criteria[str(n)] == {
+            "claims": len(bucket),
+            "failed": sum(not c.passed for c in bucket),
+            "elapsed_ms": sum(c.elapsed_ms for c in bucket),
+        }
+    assert sum(row["claims"] for row in criteria.values()) == report["total"] == 366
+    assert sum(row["failed"] for row in criteria.values()) == report["failed"] == 0
+    # the claims list is what the benchmark compares: the rollup leaves it as it is
+    assert report["claims"] == [c.to_json() for c in claims]
 
 
 # -- spot checks straight against the library (no claim plumbing) ------------

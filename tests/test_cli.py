@@ -1,5 +1,6 @@
 """Command line interface: verbs, flags, JSON output, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ import time
 import pytest
 
 import graded_leibniz
+from graded_leibniz import QQ, Field, make_family
 from graded_leibniz.cli import main
+from graded_leibniz.gradings import universal_grading_with_generators
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +137,53 @@ def test_props_subspace_rows_are_pinned(capsys, family, field):
     code, out, _ = run_cli(capsys, "props", "--family", family, "--dim", "6", "--field", field)
     assert code == 0
     assert out.endswith(", " + PROPS_SUBSPACE_ROWS[family, field] + "}\n")
+
+
+#: sha256 of the outputs at n = 12, 16, 20 and 24 over Q and F5, in that
+#: order, concatenated: the CLI's stdout per verb and family, and for
+#: `universal_grading` the JSON of [grading, generator expressions] per
+#: family (the expressions come from snf.int_matrix_inverse).  Recorded at
+#: the commit before fraction-free elimination over Q; any change to the
+#: exact linear algebra must leave them as they are.
+GOLDEN_DIMS = (12, 16, 20, 24)
+GOLDEN_FIELDS = ("Q", "F5")
+GOLDEN_DIGESTS = {
+    ("check", "nf"): "cda4fc2e203a4f7d8b7ce46bee5921432b850fb24d82cb0e9f8ea5de5eb385a6",
+    ("check", "f1"): "5c8cd2c091835759fd393ced682f7721ac2eabb30867852b350ad8b78393b526",
+    ("check", "f2"): "5c8cd2c091835759fd393ced682f7721ac2eabb30867852b350ad8b78393b526",
+    ("check", "lie-l"): "5c8cd2c091835759fd393ced682f7721ac2eabb30867852b350ad8b78393b526",
+    ("check", "lie-q"): "5c8cd2c091835759fd393ced682f7721ac2eabb30867852b350ad8b78393b526",
+    ("props", "nf"): "95ff68666e180398f8f6e9806702a00770d0603a0176369d7acc0994a661cbc5",
+    ("props", "f1"): "ec6f3bbafae03f7cc27ba2a622ed8e6dba6346d52860840ebbd92ba85a510576",
+    ("props", "f2"): "5804e58a454ca3bd6827a58c8dfa645245d1506020da7491b69afb7e4c45077e",
+    ("props", "lie-l"): "e0d5b584b29fb6d63fdfb6aae53133c36bc463a4b8c1f463e90c4acbc67bdb23",
+    ("props", "lie-q"): "e929a1aa93eea912bd524d55676ee87621166f737d2bb97df85e9951b227765e",
+    ("export", "nf"): "4045acd7d2c2de96517ff12625973618a2b2162d8405296dd90a4c4b752e405c",
+    ("export", "f1"): "13a2b0384ffdd1e736005d38302602d67436b01ba19ab1762471623e2f2d903d",
+    ("export", "f2"): "454865bf1549fba31f1fcdf897cf2177eae06f7ea1f668264d7f10fcfe3e4dea",
+    ("export", "lie-l"): "fb043866ccd369074c7fd4f0358879741ae2a7f73d00375b4038ce979d9055a1",
+    ("export", "lie-q"): "b4b8ba9055d18f50525cce613bec9433c9a1e365a6db8b0a337e601ee0370359",
+    ("universal_grading", "nf"): "4c52c7f7520db6d352e67e6eb490119fddb7cc9fa7bcbb37bbd875b91cadf1a2",
+    ("universal_grading", "f1"): "ea7ae5700824e7883207ce127674187c120118f6f40f24e4f058909dd132e684",
+    ("universal_grading", "f2"): "25daa86a31753214fb866b86b5fe40154c299b04486cefe2a89c88f0726ea524",
+}
+
+
+@pytest.mark.parametrize("verb,family", sorted(GOLDEN_DIGESTS))
+def test_large_outputs_are_byte_identical(capsys, verb, family):
+    digest = hashlib.sha256()
+    for n in GOLDEN_DIMS:
+        for field in GOLDEN_FIELDS:
+            if verb == "universal_grading":
+                k = QQ if field == "Q" else Field(int(field[1:]))
+                _, grading, gens = universal_grading_with_generators(make_family(family, n, k))
+                text = json.dumps([grading.to_json(), [list(g) for g in gens]])
+            else:
+                code, text, err = run_cli(capsys, verb, "--family", family, "--dim", str(n),
+                                          "--field", field)
+                assert code == 0, err
+            digest.update(text.encode())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[verb, family], f"{verb} --family {family} output changed"
 
 
 def test_props_antisymmetric_over_f2(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -195,6 +196,16 @@ def minor_rank(rows, p):
     return 0
 
 
+def assert_reduced(out, pivots):
+    """out is in RREF with these pivots: each row is 1 at its pivot, its
+    first nonzero entry, and every other row is 0 there."""
+    assert len(out) == len(pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for t, (row, c) in enumerate(zip(out, pivots)):
+        assert row[c] == 1 and not any(row[:c])
+        assert all(other[c] == 0 for s, other in enumerate(out) if s != t)
+
+
 @given(rows_with_repeats(), FIELDS)
 def test_rref_is_reduced_spans_its_input_and_has_the_minor_rank(rows, p):
     out, pivots = rref(rows, p)
@@ -202,17 +213,118 @@ def test_rref_is_reduced_spans_its_input_and_has_the_minor_rank(rows, p):
         assert all(type(x) is Fraction for row in out for x in row)
     else:
         assert all(type(x) is int and 0 <= x < p for row in out for x in row)
-    assert len(out) == len(pivots)
-    assert all(a < b for a, b in zip(pivots, pivots[1:]))
-    for t, (row, c) in enumerate(zip(out, pivots)):
-        # 1 at its pivot, its first nonzero entry; every other row is 0 there
-        assert row[c] == 1 and not any(row[:c])
-        assert all(other[c] == 0 for s, other in enumerate(out) if s != t)
+    assert_reduced(out, pivots)
     # each input row is the combination of the output rows read off at the pivots
     for w in rows:
         combo = [sum(w[c] * row[j] for row, c in zip(out, pivots)) for j in range(len(w))]
         assert combo == w if p is None else [x % p for x in combo] == [x % p for x in w]
     assert len(out) == minor_rank(rows, p)
+
+
+#: an int or a non-integral Fraction: denominators up to 12, numerators up to 10**9
+RATIONAL = st.one_of(
+    st.integers(-3, 3), st.integers(-10**9, 10**9),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(2, 12))
+    .filter(lambda x: x.denominator != 1),
+)
+FACTOR = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-7, 12)])
+
+
+def rational_rows():
+    """Up to eight rows of length at most 5 mixing ints and non-integral
+    Fractions: rational multiples of a few distinct rows and the zero row,
+    so zero, duplicate and dependent rows are common."""
+    def multiples(n, pool):
+        row = st.tuples(st.sampled_from(pool + [[0] * n]), FACTOR).map(
+            lambda rf: [x * rf[1] for x in rf[0]])
+        return st.lists(row, max_size=8)
+
+    return st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.lists(RATIONAL, min_size=n, max_size=n), min_size=1, max_size=4)
+        .flatmap(lambda pool: multiples(n, pool))
+    )
+
+
+def rational_square_matrix():
+    """n x n with n at most 5 of RATIONAL entries; about half the time the
+    last row is a rational multiple of the first, so the matrix is singular."""
+    def make(m, dependent, f):
+        if dependent and len(m) > 1:
+            m[-1] = [x * f for x in m[0]]
+        return m
+
+    return st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.builds(make, st.lists(st.lists(RATIONAL, min_size=n, max_size=n),
+                                           min_size=n, max_size=n),
+                            st.booleans(), FACTOR))
+
+
+def cleared(rows):
+    """Each row times the lcm of its denominators: integer rows of the same rank."""
+    out = []
+    for row in rows:
+        d = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * d) for x in row])
+    return out
+
+
+@given(rational_rows())
+def test_rref_over_q_of_rational_rows_is_reduced_spans_and_has_the_minor_rank(rows):
+    out, pivots = rref(rows)
+    assert all(type(x) is Fraction for row in out for x in row)
+    assert_reduced(out, pivots)
+    for w in rows:
+        assert [sum(w[c] * row[j] for row, c in zip(out, pivots)) for j in range(len(w))] == w
+    assert len(out) == minor_rank(cleared(rows), None)
+
+
+@given(rational_square_matrix())
+def test_raw_inverse_over_q_of_rational_matrices_round_trips(m):
+    inv = raw_inverse(m)
+    assert (inv is None) == (det_int(cleared(m)) == 0)
+    if inv is not None:
+        n = len(m)
+        assert all(type(x) is Fraction for row in inv for x in row)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert int_mat_mul(m, inv) == identity and int_mat_mul(inv, m) == identity
+
+
+def test_subspace_reduce_returns_v_minus_its_pivot_combination():
+    s = Subspace(QQ, 3, [[2, 1, 0], [0, 3, 1]])
+    assert s.rows == [[1, 0, Fraction(-1, 6)], [0, 1, Fraction(1, 3)]]
+    for v in ([1, 1, 1], [Fraction(1, 2), 2, 0], [0, 0, 7]):
+        residue = s.reduce(v)
+        exact = [x - sum(v[c] * row[j] for row, c in zip(s.rows, s.pivots))
+                 for j, x in enumerate(v)]
+        assert residue == exact
+    assert s.reduce([1, 1, 1]) == [0, 0, Fraction(5, 6)]
+    assert s.reduce([Fraction(1, 2), 2, 0]) == [0, 0, Fraction(-7, 12)]
+
+
+def test_reduce_vector_extends_by_primitive_int_rows():
+    rows, pivots = [], []
+    assert reduce_vector(rows, pivots, [0, -4, 6, 10], extend=True) == [0, 2, -3, -5]
+    # against a row with pivot entry 2: 2*v - 1*row, content 1
+    assert reduce_vector(rows, pivots, [0, 1, 1, 1], extend=True) == [0, 0, 5, 7]
+    # 5*v + 10*row = [0, 0, 0, 90], divided by its content 90
+    assert reduce_vector(rows, pivots, [0, 0, -10, 4], extend=True) == [0, 0, 0, 1]
+    assert rows == [[0, 2, -3, -5], [0, 0, 5, 7], [0, 0, 0, 1]] and pivots == [1, 2, 3]
+    assert all(type(x) is int for row in rows for x in row)
+    assert not any(reduce_vector(rows, pivots, [0, 6, -9, -15], extend=True))
+    assert len(rows) == 3
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), max_size=6)))
+def test_reduce_vector_over_q_keeps_int_rows_primitive(vectors):
+    rows, pivots = [], []
+    for v in vectors:
+        reduce_vector(rows, pivots, list(v), extend=True)
+    for t, (row, c) in enumerate(zip(rows, pivots)):
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1 and row[c] > 0 and not any(row[:c])
+        assert not any(row[b] for b in pivots[:t])
+    assert rref(rows) == rref(vectors)
 
 
 # -- reduction against echelon rows ------------------------------------------

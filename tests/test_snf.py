@@ -1,5 +1,6 @@
 """Integer Smith and Hermite normal forms."""
 
+import random
 from itertools import combinations
 from math import gcd
 
@@ -140,8 +141,31 @@ def test_int_matrix_inverse():
     u = [[1, 2], [0, 1]]
     assert int_matrix_inverse(u) == [[1, -2], [0, 1]]
     assert int_matrix_inverse([[2, 0], [0, 0]]) is None
-    with pytest.raises(ValueError):
-        int_matrix_inverse([[2, 0], [0, 1]])  # invertible over Q only
+    # invertible over Q only: determinants 2, 2, -2 and 21
+    for mat in ([[2, 0], [0, 1]], [[3, 1], [1, 1]], [[1, 3], [1, 1]], [[1, 2, 0], [0, 1, 5], [2, 0, 1]]):
+        with pytest.raises(ValueError):
+            int_matrix_inverse(mat)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int_matrix_inverse_of_a_product_of_large_elementary_matrices(seed):
+    """About ten elementary operations with multipliers of at least 10**6
+    give a unimodular matrix with large entries; its inverse is exact."""
+    rng = random.Random(seed)
+    n = 5
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    m = identity
+    for _ in range(10):
+        i, j = rng.sample(range(n), 2)
+        e = [row[:] for row in identity]
+        e[i][j] = rng.choice([-1, 1]) * rng.randint(10**6, 10**7)
+        if rng.random() < 0.3:
+            e[i], e[j] = e[j], e[i]  # a row swap: determinant -1
+        m = int_mat_mul(m, e)
+    assert max(abs(x) for row in m for x in row) >= 10**6
+    inv = int_matrix_inverse(m)
+    assert all(type(x) is int for row in inv for x in row)
+    assert int_mat_mul(m, inv) == identity and int_mat_mul(inv, m) == identity
 
 
 @given(matrices(4))
