@@ -1,8 +1,11 @@
 """Command line front end.
 
 Verbs: check, props, gradings, aut-count, normalizer, verify-paper,
-export.  Every invocation writes exactly one JSON document to stdout;
-usage problems go to stderr with exit code 2, failed checks exit 1.
+export.  `build_parser` declares each verb once, with its handler as the
+subparser's `run` default; the parser is built once at import and `main`
+calls `args.run(args)`.  Every invocation writes exactly one JSON
+document to stdout; usage problems, a malformed `--input` document
+included, go to stderr with exit code 2, failed checks exit 1.
 Output is deterministic: result lists are canonically sorted before
 emission and worker-pool scheduling never affects report order.
 """
@@ -61,12 +64,13 @@ def _load_algebra(args) -> Algebra:
     if args.input:
         if args.family or args.dim is not None:
             raise UsageError("--input replaces --family/--dim")
+        # ValueError also covers bad JSON, text that is not UTF-8 and integer
+        # literals over int()'s digit limit; RecursionError, too deep nesting
         with open(args.input, encoding="utf-8") as handle:
-            doc = json.load(handle)
-        try:
-            return Algebra.from_json(doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed algebra document {args.input}: {exc}") from exc
+            try:
+                return Algebra.from_json(json.load(handle))
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                raise UsageError(f"malformed algebra document {args.input}: {exc}") from exc
     if not args.family or args.dim is None:
         raise UsageError("need --family and --dim (or --input)")
     return make_family(_FAMILY_FLAGS[args.family], args.dim, _parse_field(args.field))
@@ -195,11 +199,15 @@ def _cmd_export(args):
     return alg.to_json(), 0
 
 
-def _add_algebra_flags(sub):
+def _algebra_verb(verbs, name, run, helptext):
+    """Add a verb that takes one algebra: --family/--dim/--field or --input."""
+    sub = verbs.add_parser(name, help=helptext)
+    sub.set_defaults(run=run)
     sub.add_argument("--family", choices=sorted(_FAMILY_FLAGS))
     sub.add_argument("--dim", type=int)
     sub.add_argument("--field", default="Q", help="Q (default), F<p>, or Fp:<p>")
     sub.add_argument("--input", help="path to an algebra JSON document")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,29 +218,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json-indent", type=int, default=None)
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    for name, helptext in (
-        ("check", "Leibniz identity and nilpotency summary"),
-        ("props", "structural invariants of one algebra"),
-        ("export", "emit the algebra as a JSON document"),
+    for name, run, helptext in (
+        ("check", _cmd_check, "Leibniz identity and nilpotency summary"),
+        ("props", _cmd_props, "structural invariants of one algebra"),
+        ("export", _cmd_export, "emit the algebra as a JSON document"),
     ):
-        sub = verbs.add_parser(name, help=helptext)
-        _add_algebra_flags(sub)
+        _algebra_verb(verbs, name, run, helptext)
 
-    sub = verbs.add_parser("gradings", help="enumerate gradings up to equivalence")
-    _add_algebra_flags(sub)
+    sub = _algebra_verb(verbs, "gradings", _cmd_gradings, "enumerate gradings up to equivalence")
     sub.add_argument("--group", help='target group: "trivial", "Z", "Z<i>", "ZxZ<i>"')
 
-    sub = verbs.add_parser("aut-count", help="automorphism count over a prime field")
-    _add_algebra_flags(sub)
+    sub = _algebra_verb(verbs, "aut-count", _cmd_aut_count,
+                        "automorphism count over a prime field")
     sub.add_argument("--brute-force", action="store_true",
                      help="exhaust all matrices instead of using the family formula")
     sub.add_argument("--budget-ms", type=int, default=None)
 
-    sub = verbs.add_parser("normalizer", help="check that the torus is self-normalizing")
-    _add_algebra_flags(sub)
+    sub = _algebra_verb(verbs, "normalizer", _cmd_normalizer,
+                        "check that the torus is self-normalizing")
     sub.add_argument("--budget-ms", type=int, default=None)
 
     sub = verbs.add_parser("verify-paper", help="run the full verification suite")
+    sub.set_defaults(run=_cmd_verify_paper)
     sub.add_argument("--max-dim", type=int, default=None)
     sub.add_argument("--threads", type=int, default=None,
                      help="worker pool size (default: cpu count)")
@@ -240,24 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "check": _cmd_check,
-    "props": _cmd_props,
-    "gradings": _cmd_gradings,
-    "aut-count": _cmd_aut_count,
-    "normalizer": _cmd_normalizer,
-    "verify-paper": _cmd_verify_paper,
-    "export": _cmd_export,
-}
+#: built once per process: parsing leaves it unchanged, so every call reuses it
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        doc, code = _DISPATCH[args.verb](args)
-    except (UsageError, GradedLeibnizError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+        doc, code = args.run(args)
+    except (UsageError, GradedLeibnizError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(doc, indent=args.json_indent))

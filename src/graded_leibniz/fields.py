@@ -8,10 +8,14 @@ reduced form, positive denominator); prime-field values as ints in
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch
+
+#: the scalar strings a document may hold: an integer or a fraction "a/b"
+_SCALAR_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -72,6 +76,9 @@ class Field:
         if isinstance(value, (bool, float)):
             raise ValueError(f"{value!r} is not an exact scalar (use an int, a Fraction or 'a/b')")
         if isinstance(value, str):
+            # Fraction alone would also take "1e999999999" and build 10**999999999
+            if not _SCALAR_TEXT.fullmatch(value):
+                raise ValueError(f"{value!r} is not an integer or 'a/b' fraction")
             try:
                 value = Fraction(value)
             except ZeroDivisionError as exc:

@@ -169,6 +169,13 @@ def test_report_rolls_claims_up_per_criterion(claims_by_criterion):
     assert report["claims"] == [c.to_json() for c in claims]
 
 
+def test_claim_identities_are_unique(claims_by_criterion):
+    # a row repeated in the claim table would pass every criterion's coverage check
+    ids = [(c.criterion, c.name, c.family, c.dim, c.field)
+           for bucket in claims_by_criterion.values() for c in bucket]
+    assert len(set(ids)) == len(ids) == 366
+
+
 # -- spot checks straight against the library (no claim plumbing) ------------
 
 

@@ -21,7 +21,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=None):
     """Run `python -m graded_leibniz.cli` in a child that imports this same package,
     installed or not."""
     root = os.path.dirname(os.path.dirname(graded_leibniz.__file__))
@@ -31,6 +31,7 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
 
@@ -364,6 +365,10 @@ def test_malformed_input_document_exits_two(capsys, tmp_path):
     path.write_text(json.dumps({"dim": 2, "sc": []}))
     code, _, err = run_cli(capsys, "check", "--input", str(path))
     assert code == 2 and "malformed" in err
+    # nested deeper than the decoder recurses
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_cli(capsys, "check", "--input", str(path))
+    assert code == 2 and "malformed" in err
 
 
 def test_budget_flag_converts_to_search_budget(capsys):
@@ -436,6 +441,7 @@ def _one_constant_doc(c, dim="2", field='{"kind": "Q"}', k="2"):
     pytest.param(_one_constant_doc("1.5", field='{"kind": "Fp", "p": 5}'), id="float-c-F5"),
     pytest.param(_one_constant_doc('"1/0"'), id="zero-denominator"),
     pytest.param(_one_constant_doc("1e400"), id="overflowing-float"),
+    pytest.param(_one_constant_doc('"1.5"'), id="decimal-string"),
     pytest.param(_one_constant_doc("1", dim="2.5"), id="float-dim"),
     pytest.param(_one_constant_doc("true"), id="bool-c"),
     pytest.param(_one_constant_doc("1", k="2.0"), id="float-target"),
@@ -447,6 +453,35 @@ def test_bad_constants_exit_two(capsys, tmp_path, text):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_exponent_string_is_refused_at_once(tmp_path):
+    # Fraction("1e999999999") would build 10**999999999, which ran for minutes
+    path = tmp_path / "exponent.json"
+    path.write_text(_one_constant_doc('"1e999999999"'))
+    proc = run_module("check", "--input", str(path), timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert one_error_line(proc.stderr) and "malformed" in proc.stderr
+
+
+#: an integer literal longer than int() converts by default (4,300 digits)
+HUGE = "1" * 5000
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="this interpreter converts integer literals of any length")
+@pytest.mark.parametrize("verb", ["check", "props"])
+@pytest.mark.parametrize("text", [
+    pytest.param(_one_constant_doc(HUGE), id="huge-c"),
+    pytest.param(_one_constant_doc("1", dim=HUGE), id="huge-dim"),
+])
+def test_huge_json_integer_exits_two(capsys, tmp_path, verb, text):
+    # json.load raises a plain ValueError on these, which used to escape as a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, verb, "--input", str(path))
+    assert code == 2 and out == ""
+    assert one_error_line(err) and "malformed" in err
 
 
 @pytest.mark.parametrize("verb", [("check",), ("props",), ("aut-count", "--brute-force"), ("export",)])
@@ -491,3 +526,32 @@ def test_bad_verify_paper_counts_exit_two(capsys, argv, flag):
 def test_smallest_verify_paper_counts_still_run(capsys):
     code, doc = run_json(capsys, "verify-paper", "--max-dim", "2", "--threads", "1")
     assert code == 0 and doc["failed"] == 0 and doc["total"] > 2
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("calls", [
+    [("--json-indent", "2", "check", "--family", "nf", "--dim", "3"),
+     ("check", "--family", "nf", "--dim", "3")],
+    [("gradings", "--family", "nf", "--dim", "4", "--group", "Z2"),
+     ("gradings", "--family", "nf", "--dim", "4")],
+    [("aut-count", "--family", "nf", "--dim", "3", "--field", "F3", "--budget-ms", "5"),
+     ("aut-count", "--family", "nf", "--dim", "3", "--field", "F3")],
+    [("check", "--family", "nf", "--dim", "3", "--field", "F4"),
+     ("check", "--family", "nf", "--dim", "3", "--field", "F5")],
+    [("check", "--family", "zz", "--dim", "3"),
+     ("props", "--family", "f1", "--dim", "4")],
+], ids=["json-indent", "group", "budget-ms", "bad-field", "argparse-error"])
+def test_parser_reuse_leaves_no_state(capsys, calls):
+    # the parser is built once per process; each call in a row must print
+    # the same bytes and exit code as in a fresh interpreter
+    for argv in calls:
+        proc = run_module(*argv)
+        assert _in_process(capsys, argv) == (proc.returncode, proc.stdout, proc.stderr), argv

@@ -70,6 +70,21 @@ def test_scalar_coercion_zero_denominator():
             field.scalar("1/0")
 
 
+def test_scalar_strings_are_integers_or_fractions():
+    for field in (QQ, Field(5)):
+        assert field.scalar("+3") == field.scalar(3)
+        assert field.scalar("-6/4") == field.scalar(Fraction(-3, 2))
+        assert field.scalar("007/1") == field.scalar(7)
+        # exponents, decimals, underscores, whitespace and non-ASCII digits
+        # are not in the documented "a/b" form; "1e999999999" would build 10**999999999
+        for bad in ("1e400", "1E2", "1.5", ".5", "1_000", " 1/2", "1/2\n", "1 / 2", "",
+                    "/2", "1/", "1/-2", "+-1", "0x10", "inf", "nan", "\u0661"):
+            with pytest.raises(ValueError):
+                field.scalar(bad)
+        with pytest.raises(DivisionByZero):
+            field.scalar("-1/0")
+
+
 def test_cross_field_mixing_raises():
     with pytest.raises(FieldMismatch):
         QQ.one() + Field(3).one()
