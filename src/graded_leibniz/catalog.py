@@ -20,7 +20,12 @@ at least once:
 Every grading with all standard basis vectors homogeneous is a
 coarsening of the universal grading of the discrete partition, so
 enumeration sweeps the homomorphisms from the universal group into each
-menu group, keying partitions on raw degree tuples (`gradings._coarsenings`).
+menu group (`gradings._coarsenings`).  The sweep computes each image
+coordinate over all basis vectors at once, as an integer combination of
+the universal degrees' coordinate columns (reduced mod the invariant
+factor on a torsion coordinate), and keys the partition on the degrees'
+first-occurrence labels, building a grading only for the first
+homomorphism per partition.
 """
 
 from __future__ import annotations

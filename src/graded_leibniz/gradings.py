@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .algebras import Algebra
 from .errors import DifferentAlgebras, GroupMismatch
-from .groups import AbelianGroup, GroupElem, _image_coords, all_homs, apply_hom, validate_hom
+from .groups import AbelianGroup, GroupElem, all_homs, apply_hom, validate_hom
 from .linalg import Subspace, _values, rref
 from .snf import int_matrix_inverse, row_hnf, smith_normal_form
 
@@ -313,16 +313,37 @@ def coarsen(grading: Grading, target: AbelianGroup, images) -> Grading:
 
 def _coarsenings(base: Grading, group_menu, free_bound: int) -> list[Grading]:
     """Coarsenings of `base` along all_homs into each menu group: the first
-    per partition, sorted by partition.  Partitions are keyed on raw image
-    coordinates, so a Grading is built only for the kept homomorphisms."""
-    elems = [d.coords for d in base.degrees]
-    seen: dict[tuple, Grading] = {}
+    per partition, sorted by partition.
+
+    Each homomorphism's partition is read off integer columns, one per
+    target coordinate k: the sum over source generators s of
+    images[s].coords[k] times column s of the base degrees, reduced mod
+    the k-th invariant factor when k is a torsion coordinate.  Zipped, the
+    columns give each basis vector's image degree; labelling those by
+    first occurrence gives a key that determines the partition and is
+    determined by it.  The sweep builds no group element per homomorphism,
+    and a Grading only for the first homomorphism per key.
+    """
+    n = base.algebra.dim
+    base_columns = list(zip(*(d.coords for d in base.degrees)))
+    seen: dict[tuple, tuple] = {}
     for group in group_menu:
+        moduli = (0,) * group.free_rank + group.torsion
         for images in all_homs(base.group, group, free_bound):
-            key = tuple(_blocks(_image_coords(images, elems, group)).values())
-            if key not in seen:
-                seen[key] = coarsen(base, group, images)
-    return [seen[key] for key in sorted(seen)]
+            columns = []
+            for k, m in enumerate(moduli):
+                column = [0] * n
+                for g, base_column in zip(images, base_columns):
+                    a = g.coords[k]
+                    if a:
+                        column = [x + a * b for x, b in zip(column, base_column)]
+                columns.append([x % m for x in column] if m else column)
+            labels: dict = {}
+            degrees = zip(*columns) if columns else [()] * n  # the trivial group has no columns
+            key = tuple(labels.setdefault(d, len(labels)) for d in degrees)
+            seen.setdefault(key, (group, images))
+    return sorted((coarsen(base, group, images) for group, images in seen.values()),
+                  key=Grading.partition)
 
 
 def equivalent(g1: Grading, g2: Grading) -> bool:

@@ -173,27 +173,18 @@ def validate_hom(source: AbelianGroup, target: AbelianGroup, images: list[GroupE
             )
 
 
-def _image_coords(images: list[GroupElem], elems, target: AbelianGroup) -> list[tuple[int, ...]]:
-    """Reduced target coordinates of the image of each source element,
-    given by its coordinates, under generator i -> images[i]."""
+def apply_hom(images: list[GroupElem], elem_coords, target: AbelianGroup) -> GroupElem:
+    """Image of the element with the given source coordinates under
+    generator i -> images[i], summed on raw ints and reduced once."""
     for g in images:
         if g.group != target:
             raise GroupMismatch("image lies in the wrong group")
-    columns = [g.coords for g in images]
-    out = []
-    for coords in elems:
-        acc = [0] * target.ngens
-        for c, col in zip(coords, columns):
-            if c:
-                for k, a in enumerate(col):
-                    acc[k] += c * a
-        out.append(target._reduce(acc))
-    return out
-
-
-def apply_hom(images: list[GroupElem], elem_coords, target: AbelianGroup) -> GroupElem:
-    """Image of the element with the given source coordinates."""
-    return GroupElem(target, _image_coords(images, [elem_coords], target)[0])
+    acc = [0] * target.ngens
+    for c, g in zip(elem_coords, images):
+        if c:
+            for k, a in enumerate(g.coords):
+                acc[k] += c * a
+    return GroupElem(target, target._reduce(acc))
 
 
 def all_homs(source: AbelianGroup, target: AbelianGroup, free_bound: int):

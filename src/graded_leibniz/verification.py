@@ -457,11 +457,12 @@ def run_all(max_dim: int | None = None, threads: int | None = None) -> list[Clai
     return [t() for t in thunks]
 
 
-def summarize(claims: list[Claim], elapsed_ms: int) -> dict:
+def summarize(claims: list[Claim], elapsed_ms: int, cpu_ms: int) -> dict:
     """The verify-paper report; elapsed_ms is the run's wall time, not the
     sum of per-claim times, which overstates it when claims overlap in a
-    worker pool.  `criteria` rolls the claims up per criterion: how many,
-    how many failed, and the sum of their elapsed_ms."""
+    worker pool, and cpu_ms the process CPU time over all its threads.
+    `criteria` rolls the claims up per criterion: how many, how many
+    failed, and the sum of their elapsed_ms."""
     failed = [c for c in claims if not c.passed]
     criteria: dict[str, dict] = {}
     for n in sorted({c.criterion for c in claims}):
@@ -478,4 +479,5 @@ def summarize(claims: list[Claim], elapsed_ms: int) -> dict:
         "passed": len(claims) - len(failed),
         "failed": len(failed),
         "elapsed_ms": elapsed_ms,
+        "cpu_ms": cpu_ms,
     }

@@ -154,7 +154,7 @@ def test_criterion_10_integer_normal_form_suites(claims_by_criterion):
 
 def test_report_rolls_claims_up_per_criterion(claims_by_criterion):
     claims = [c for n in sorted(claims_by_criterion) for c in claims_by_criterion[n]]
-    report = summarize(claims, elapsed_ms=0)
+    report = summarize(claims, elapsed_ms=0, cpu_ms=0)
     criteria = report["criteria"]
     assert list(criteria) == [str(n) for n in sorted(claims_by_criterion)]
     for n, bucket in claims_by_criterion.items():

@@ -170,6 +170,24 @@ GOLDEN_DIGESTS = {
 }
 
 
+#: sha256 of `gradings` stdout at the enumeration benchmark's sizes, past
+#: the reach of the reference-loop tests in tests/test_gradings.py.
+#: Recorded before the sweep keyed partitions on integer columns.
+GRADINGS_DIGESTS = {
+    "--family nf --dim 10": "4ca1373323756ca141bd258a5cd9682badbf6dfd1c7e2d37b7127b37f355e8b7",
+    "--family f1 --dim 7": "39559d39f62d1a4bca0454e397b51e8e301b3c6324af6cb003a11bb017c64823",
+    "--family f2 --dim 7": "e511311ef6ec23726e5d4df3bdf2a8282e65254d94b1bc77d97c207c9cd762ec",
+    "--family f1 --dim 6 --group ZxZ2xZ4": "e48d5e5bdb6f3e20344c7096a6932ba4fc1cd68a9c6dbbbbcacb29e087416230",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GRADINGS_DIGESTS))
+def test_gradings_outputs_are_byte_identical(capsys, args):
+    code, out, err = run_cli(capsys, "gradings", *args.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GRADINGS_DIGESTS[args], f"gradings {args} output changed"
+
+
 @pytest.mark.parametrize("verb,family", sorted(GOLDEN_DIGESTS))
 def test_large_outputs_are_byte_identical(capsys, verb, family):
     digest = hashlib.sha256()
@@ -287,6 +305,10 @@ def test_verify_paper_small(capsys):
     assert doc["total"] == doc["passed"] == len(doc["claims"])
     first = doc["claims"][0]
     assert {"criterion", "claim", "family", "dim", "field", "pass", "detail", "elapsed_ms"} <= set(first)
+    # CPU time is reported for the whole run only: per-claim fields enter
+    # the benchmark's traced/untraced comparison
+    assert isinstance(doc["cpu_ms"], int) and doc["cpu_ms"] >= 0
+    assert not any("cpu_ms" in c for c in doc["claims"])
 
 
 def test_verify_paper_elapsed_is_wall_time(capsys):

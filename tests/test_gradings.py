@@ -28,7 +28,7 @@ from graded_leibniz import (
     weight_system,
 )
 from graded_leibniz.catalog import FAMILY_HYPOTHESIS
-from graded_leibniz.gradings import SubspaceGrading
+from graded_leibniz.gradings import SubspaceGrading, _coarsenings
 from graded_leibniz.torus import AutParamsNF, aut_matrix_nf
 
 Z = AbelianGroup(1)
@@ -323,3 +323,30 @@ def test_toral_enumeration_matches_reference_loop(family, sizes):
         menu = default_group_menu(n)
         found = enumerate_toral_gradings(alg, ws, menu)
         assert as_json(found) == as_json(reference_coarsenings(base, menu, n))
+
+
+#: the sweep's modular column arithmetic on torsion targets, products of
+#: free and torsion factors, and the trivial group (which has no columns)
+COLUMN_MENUS = [
+    [AbelianGroup(1, (2, 4))],
+    [AbelianGroup(2), AbelianGroup(0, (6,))],
+    [AbelianGroup(0, (2, 2)), AbelianGroup()],
+]
+
+
+def torsion_base(alg):
+    """The universal grading coarsened into Z x Z4 by images (-1, 1) and
+    (2, 3): a base with torsion and negative coordinates."""
+    _, base = universal_grading(alg)
+    zz4 = AbelianGroup(1, (4,))
+    images = [zz4.element(c) for c in ((-1, 1), (2, 3))][: base.group.ngens]
+    return coarsen(base, zz4, images)
+
+
+@pytest.mark.parametrize("menu", COLUMN_MENUS, ids=lambda menu: ",".join(g.describe() for g in menu))
+@pytest.mark.parametrize("family, n", [("nf", 6), ("f1", 5), ("f2", 5)])
+@pytest.mark.parametrize("make_base", [lambda alg: universal_grading(alg)[1], torsion_base],
+                         ids=["universal", "torsion"])
+def test_sweep_columns_match_reference_loop(make_base, family, n, menu):
+    base = make_base(make_family(family, n))
+    assert as_json(_coarsenings(base, menu, n)) == as_json(reference_coarsenings(base, menu, n))
