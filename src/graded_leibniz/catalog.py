@@ -187,7 +187,7 @@ def enumerate_h1_gradings(alg: Algebra, hypothesis: str, group_menu) -> list[Gra
     pair = universal_grading(alg)
     if pair is None:
         raise UnsupportedFamily("the discrete partition admits no universal grading here")
-    return _coarsenings(pair[1], group_menu, free_bound=alg.dim)
+    return _coarsenings(pair[1], group_menu)
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,21 @@ from .errors import DivisionByZero, FieldMismatch
 #: the scalar strings a document may hold: an integer or a fraction "a/b"
 _SCALAR_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-# Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: The first 13 primes, for trial division and as Miller-Rabin witnesses;
+#: as witnesses they decide primality exactly below psi_13 (Sorenson and
+#: Webster, Math. Comp. 86, 2017).  The first 12 do not: they pass
+#: psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13, itself composite
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality below psi_13; ValueError at or above it."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large: primality is decided only below {_MR_BOUND}")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1

@@ -311,9 +311,10 @@ def coarsen(grading: Grading, target: AbelianGroup, images) -> Grading:
     return Grading(grading.algebra, target, new)
 
 
-def _coarsenings(base: Grading, group_menu, free_bound: int) -> list[Grading]:
-    """Coarsenings of `base` along all_homs into each menu group: the first
-    per partition, sorted by partition.
+def _coarsenings(base: Grading, group_menu) -> list[Grading]:
+    """Coarsenings of `base` along all_homs into each menu group, with free
+    images bounded by the dimension: the first per partition, sorted by
+    partition.
 
     Each homomorphism's partition is read off integer columns, one per
     target coordinate k: the sum over source generators s of
@@ -329,7 +330,7 @@ def _coarsenings(base: Grading, group_menu, free_bound: int) -> list[Grading]:
     seen: dict[tuple, tuple] = {}
     for group in group_menu:
         moduli = (0,) * group.free_rank + group.torsion
-        for images in all_homs(base.group, group, free_bound):
+        for images in all_homs(base.group, group, n):
             columns = []
             for k, m in enumerate(moduli):
                 column = [0] * n

@@ -1,7 +1,9 @@
 """Smith and Hermite normal forms over the integers.
 
-Arbitrary-precision throughout; both transforms return unimodular
-witnesses so callers can verify U @ M @ V == D exactly.
+Arbitrary-precision throughout.  One elimination loop, `_hnf`, brings
+rows to Hermite form; `row_hnf` returns its result with the row
+transform U (H == U @ M), and `smith_normal_form` alternates it over
+rows and columns, returning unimodular witnesses with U @ M @ V == D.
 """
 
 from __future__ import annotations
@@ -41,109 +43,11 @@ def det_int(mat: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, D, V) with U @ mat @ V == D, U and V unimodular.
-
-    D is diagonal with nonnegative entries d_1 | d_2 | ... (invariant
-    factors first, then zeros).
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [list(map(int, row)) for row in mat]
-    u = int_identity(m)
-    v = int_identity(n)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(m, n):
-        # Move an entry of smallest nonzero magnitude to the pivot seat.
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-
-        while True:
-            # Reduce the pivot column, swapping in any smaller remainder.
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(i, t)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            # Pivot must divide the remaining submatrix for the invariant chain.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, -1)  # add the offending row to the pivot row
-        t += 1
-
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    return u, a, v
-
-
-def diagonal_of(d: list[list[int]]) -> list[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
-def row_hnf(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Canonical row Hermite normal form; returns (H, U) with H == U @ mat.
-
-    Pivots are positive, entries above a pivot lie in [0, pivot), zero
-    rows sink to the bottom.  H is the canonical representative of the
-    row lattice, so two matrices have equal H iff one is a unimodular
-    row transform of the other.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [list(map(int, row)) for row in mat]
-    u = int_identity(m)
+def _hnf(a: list[list[int]], u: list[list[int]]) -> None:
+    """Bring the rows of `a` to Hermite normal form in place, applying
+    every row operation to `u` as well."""
+    m = len(a)
+    n = len(a[0]) if m else 0
 
     def row_op(i, j, q):
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
@@ -153,10 +57,10 @@ def row_hnf(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     for c in range(n):
         # gcd-reduce column c among rows r..m-1
         while True:
-            nz = [i for i in range(r, m) if a[i][c]]
+            nz = [(abs(a[i][c]), i) for i in range(r, m) if a[i][c]]
             if not nz:
                 break
-            best = min(nz, key=lambda i: abs(a[i][c]))
+            best = min(nz)[1]
             if best != r:
                 a[r], a[best] = a[best], a[r]
                 u[r], u[best] = u[best], u[r]
@@ -173,12 +77,61 @@ def row_hnf(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
                 a[r] = [-x for x in a[r]]
                 u[r] = [-x for x in u[r]]
             for i in range(r):
-                if a[i][c]:
-                    row_op(i, r, a[i][c] // a[r][c])
+                q = a[i][c] // a[r][c]
+                if q:
+                    row_op(i, r, q)
             r += 1
             if r == m:
                 break
+
+
+def row_hnf(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Canonical row Hermite normal form; returns (H, U) with H == U @ mat.
+
+    Pivots are positive, entries above a pivot lie in [0, pivot), zero
+    rows sink to the bottom.  H is the canonical representative of the
+    row lattice, so two matrices have equal H iff one is a unimodular
+    row transform of the other.
+    """
+    a = [list(map(int, row)) for row in mat]
+    u = int_identity(len(a))
+    _hnf(a, u)
     return a, u
+
+
+def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (U, D, V) with U @ mat @ V == D, U and V unimodular.
+
+    D is diagonal with nonnegative entries d_1 | d_2 | ... (invariant
+    factors first, then zeros).  Kannan and Bachem's alternation (SIAM
+    J. Comput. 8, 1979): Hermite-reduce the rows, then the columns as the
+    rows of the transpose, until the rows come out diagonal.  Where some
+    d_i does not divide a later d_j, adding row j into row i puts their
+    gcd within reach of the next column pass.
+    """
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    a = [list(map(int, row)) for row in mat]
+    u = int_identity(m)
+    vt = int_identity(n)
+    while True:
+        _hnf(a, u)
+        if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            d = [x for x in diagonal_of(a) if x]
+            bad = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+                        if d[j] % d[i]), None)
+            if bad is None:
+                return u, a, [list(row) for row in zip(*vt)]
+            i, j = bad  # a row pass next would undo this; the column pass does not
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            u[i] = [x + y for x, y in zip(u[i], u[j])]
+        at = [list(col) for col in zip(*a)]
+        _hnf(at, vt)
+        a = [list(row) for row in zip(*at)]
+
+
+def diagonal_of(d: list[list[int]]) -> list[int]:
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def int_matrix_inverse(mat: list[list[int]]) -> list[list[int]] | None:

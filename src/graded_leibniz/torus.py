@@ -679,4 +679,4 @@ def enumerate_toral_gradings(alg: Algebra, ws: WeightSystem, group_menu) -> list
     images only relabel supports).  One representative per induced
     partition is kept; output order is deterministic.
     """
-    return _coarsenings(_weight_grading(alg, ws), group_menu, free_bound=alg.dim)
+    return _coarsenings(_weight_grading(alg, ws), group_menu)

@@ -361,6 +361,15 @@ def test_zero_dim_and_unparsable_field_exit_two(capsys, argv, message):
     assert one_error_line(err) and message in err
 
 
+@pytest.mark.parametrize("p", ["318665857834031151167461", "3317044064679887385961981"],
+                         ids=["psi12", "psi13"])
+def test_strong_pseudoprime_modulus_exits_two(capsys, p):
+    # psi_12 passes Miller-Rabin to the bases 2..37 and used to load as a field
+    code, out, err = run_cli(capsys, "check", "--family", "nf", "--dim", "3", "--field", "F" + p)
+    assert code == 2 and out == ""
+    assert one_error_line(err) and p in err
+
+
 def test_input_with_zero_dim_exits_two(capsys, tmp_path):
     # --dim 0 next to --input used to be ignored without a word
     path = tmp_path / "nf3.json"

@@ -29,6 +29,42 @@ def test_is_prime_large_witness_cases():
         assert not is_prime(n)
 
 
+#: psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13
+#: prime bases (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+def strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**k, n) == n - 1 for k in range(1, r))
+
+
+def test_is_prime_refuses_the_pseudoprimes_to_its_first_twelve_witnesses():
+    assert PSI12 == 399165290221 * 798330580441
+    assert all(strong_probable_prime(PSI12, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert not is_prime(PSI12)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    with pytest.raises(ValueError):
+        Field(PSI12)
+
+
+def test_is_prime_refuses_to_decide_from_psi13_on():
+    # psi_13 is composite yet passes all 13 witnesses, so it and every
+    # larger modulus are refused rather than guessed
+    assert PSI13 == 1287836182261 * 2575672364521
+    assert all(strong_probable_prime(PSI13, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+    for n in (PSI13, PSI13 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            Field(n)
+    assert not is_prime(PSI13 - 2)
+
+
 def test_field_rejects_composite_modulus():
     with pytest.raises(ValueError):
         Field(4)

@@ -1,5 +1,7 @@
 """Integer Smith and Hermite normal forms."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 from math import gcd
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graded_leibniz import smith_normal_form, row_hnf
+from graded_leibniz import QQ, make_family, smith_normal_form, row_hnf
+from graded_leibniz import gradings
 from graded_leibniz.snf import det_int, diagonal_of, int_matrix_inverse, int_mat_mul
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -100,6 +103,98 @@ def test_snf_known_examples():
     assert diagonal_of(d) == [2, 2, 156]
     _, d, _ = smith_normal_form([[0, 0], [0, 0]])
     assert diagonal_of(d) == [0, 0]
+
+
+@pytest.mark.parametrize("mat, diagonal", [
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], [1, 1, 30]),
+    ([[2, 0], [0, 3]], [1, 6]),  # the divisibility fix must not be undone
+    ([[0, 0], [0, 3]], [3, 0]),  # a zero diagonal entry before a nonzero one
+    ([[6, 0], [0, 4]], [2, 12]),
+    ([[2, 0], [0, 0], [0, 3]], [1, 6]),
+    ([[4, 6, 0]], [2]),
+    ([[4], [6], [0]], [2]),
+    ([[], []], []),
+    ([[10**9 + 7, 2 * 10**9], [3, 10**9]], [1, 10**18 + 10**9]),
+])
+def test_snf_known_diagonals(mat, diagonal):
+    u, d, v = smith_normal_form(mat)
+    assert diagonal_of(d) == diagonal
+    assert len(u) == len(mat) and len(v) == (len(mat[0]) if mat else 0)
+    if mat[0]:
+        assert int_mat_mul(int_mat_mul(u, mat), v) == d
+    assert det_int(u) in (1, -1) and det_int(v) in (1, -1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_snf_terminates_on_large_sparse_entries(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        mat = [[rng.randint(-10**9, 10**9) if rng.random() < 0.6 else 0 for _ in range(n)]
+               for _ in range(m)]
+        u, d, v = smith_normal_form(mat)
+        assert int_mat_mul(int_mat_mul(u, mat), v) == d
+        assert det_int(u) in (1, -1) and det_int(v) in (1, -1)
+        diag = [x for x in diagonal_of(d) if x]
+        assert diag == diagonal_of(d)[:len(diag)] and all(x > 0 for x in diag)
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+        assert sum(map(bool, (x for row in d for x in row))) == len(diag)
+
+
+def snf_suite_matrices():
+    """The 1,000 matrices of verify-paper's snf-random-suite claim."""
+    rng = random.Random(20260818)
+    out = []
+    for _ in range(1000):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        out.append([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    return out
+
+
+def relation_matrices(monkeypatch):
+    """The matrices universal_grading hands to smith_normal_form for nf, f1
+    and f2 at n = 12, 16, 20 and 24 over Q."""
+    seen = []
+
+    def recording(mat):
+        seen.append(mat)
+        return smith_normal_form(mat)
+
+    monkeypatch.setattr(gradings, "smith_normal_form", recording)
+    for family in ("nf", "f1", "f2"):
+        for n in (12, 16, 20, 24):
+            gradings.universal_grading(make_family(family, n, QQ))
+    assert len(seen) == 12
+    return seen
+
+
+def digest(mats, f):
+    h = hashlib.sha256()
+    for mat in mats:
+        h.update(json.dumps(f(mat)).encode())
+    return h.hexdigest()
+
+
+#: sha256 over the matrices, in order, of the JSON of row_hnf's [H, U] and of
+#: the Smith diagonal, recorded before smith_normal_form was built on the
+#: Hermite loop; the Smith form's U and V are witnesses, not canonical
+#: forms, so only their properties are checked
+KERNEL_DIGESTS = {
+    ("suite", "hnf"): "eea4e094eb04bbf059dd528cbddeda8bad4b308d3c55ed21c90d773e71f5d3a9",
+    ("suite", "smith"): "c269788c8c1100b0436f4be24e6ee3dd744a690e44a76f24d69255d19f7f3977",
+    ("relations", "hnf"): "1551564fe082007d2b85ecc4b17b73ebb9b90907555e28218a420111d09def2e",
+    ("relations", "smith"): "7bf02cb6bc014b18c6d6f4db6a96675b555b7b3d0bdeea81b5fa99910b1f00bf",
+}
+
+
+@pytest.mark.parametrize("matrices, form", sorted(KERNEL_DIGESTS))
+def test_integer_kernels_are_byte_identical(monkeypatch, matrices, form):
+    mats = snf_suite_matrices() if matrices == "suite" else relation_matrices(monkeypatch)
+    if form == "hnf":
+        found = digest(mats, lambda mat: list(row_hnf(mat)))
+    else:
+        found = digest(mats, lambda mat: diagonal_of(smith_normal_form(mat)[1]))
+    assert found == KERNEL_DIGESTS[matrices, form], f"{form} on the {matrices} matrices changed"
 
 
 @given(matrices(5))
