@@ -23,7 +23,7 @@ from .algebras import Algebra
 from .errors import DifferentAlgebras, GroupMismatch
 from .groups import AbelianGroup, GroupElem, all_homs, apply_hom, validate_hom
 from .linalg import Subspace, _values, rref
-from .snf import int_matrix_inverse, row_hnf, smith_normal_form
+from .snf import diagonal_of, int_mat_mul, int_matrix_inverse, row_hnf, smith_normal_form
 
 
 def _blocks(degrees) -> dict:
@@ -263,40 +263,30 @@ def universal_grading_with_generators(algebra: Algebra, partition=None):
 
     # with no relations the matrix has no columns and U is the identity
     u, d, _ = smith_normal_form([[rel[b] for rel in rel_list] for b in range(nblocks)])
-    diag = [d[i][i] if i < len(rel_list) else 0 for i in range(nblocks)]
+    diag = diagonal_of(d)
+    diag += [0] * (nblocks - len(diag))
 
     free_rows = [i for i in range(nblocks) if diag[i] == 0]
     tors_rows = [i for i in range(nblocks) if diag[i] >= 2]
     group = AbelianGroup(len(free_rows), tuple(diag[i] for i in tors_rows))
-    uinv = int_matrix_inverse(u)
 
     # Free coordinates from the Smith transform are only unique up to a
     # unimodular change; Hermite-reduce them so equal quotients get
     # literally equal degree tuples.
-    if free_rows:
-        f_t = [[u[i][b] for b in range(nblocks)] for i in free_rows]
-        h, w = row_hnf(f_t)
-        winv = int_matrix_inverse(w)
-        free_coords = [[h[r][b] for r in range(len(free_rows))] for b in range(nblocks)]
-    else:
-        free_coords = [[] for _ in range(nblocks)]
-
+    h, w = row_hnf([u[i] for i in free_rows])
     degrees_by_block = [
-        group.element(tuple(free_coords[b]) + tuple(u[i][b] for i in tors_rows))
+        group.element(tuple(row[b] for row in h) + tuple(u[i][b] for i in tors_rows))
         for b in range(nblocks)
     ]
     if len(set(degrees_by_block)) < nblocks:
         return None
 
-    gen_exprs: list[tuple[int, ...]] = []
-    for r in range(len(free_rows)):
-        expr = [
-            sum(uinv[b][free_rows[s]] * winv[s][r] for s in range(len(free_rows)))
-            for b in range(nblocks)
-        ]
-        gen_exprs.append(tuple(expr))
-    for i in tors_rows:
-        gen_exprs.append(tuple(uinv[b][i] for b in range(nblocks)))
+    # each generator over the blocks: the free ones are the columns of
+    # U^-1's free columns times W^-1, torsion generator i is column i of U^-1
+    uinv_cols = list(zip(*int_matrix_inverse(u)))
+    winv_t = list(zip(*int_matrix_inverse(w)))
+    gen_exprs = [tuple(e) for e in int_mat_mul(winv_t, [uinv_cols[i] for i in free_rows])]
+    gen_exprs += [uinv_cols[i] for i in tors_rows]
 
     degrees = tuple(degrees_by_block[block_of[i]] for i in range(1, algebra.dim + 1))
     return group, Grading(algebra, group, degrees), gen_exprs

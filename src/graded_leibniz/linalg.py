@@ -6,11 +6,11 @@ Q, ints in [0, p) over F_p.  Every elimination runs through one loop,
 far and can extend them by it (the automorphism walk's rank test,
 Subspace membership and complements).  Over F_p an echelon row is 1 at
 its pivot; over Q its pivot entry need not be 1.  `rref` reduces a whole
-matrix on it: for Subspace, affine_solve, raw_inverse (and through it
-snf.int_matrix_inverse), SubspaceGrading, is_automorphism and the torus
-searches' systems.  Over Q it is fraction-free: it eliminates on integer
-rows divided by their content and builds Fractions only for the rows it
-returns.  Subspaces hold their reduced row echelon basis as raw
+matrix on it: for Subspace, affine_solve, raw_inverse, SubspaceGrading,
+is_automorphism and the torus searches' systems (integer matrices are
+inverted in snf, on its Hermite loop).  Over Q it is fraction-free: it
+eliminates on integer rows divided by their content and builds Fractions
+only for the rows it returns.  Subspaces hold their reduced row echelon basis as raw
 rows (Fractions over Q, 1 at each pivot), so subspace equality is plain
 row comparison.  Scalars appear only in `_values`, which checks a Scalar
 matrix's field and reads off its raw values.
@@ -134,8 +134,11 @@ def affine_solve(rows: list[list], ncols: int,
 
 
 def raw_inverse(m: list[list], p: int | None = None) -> list[list] | None:
-    """Inverse of a square matrix of raw values (see rref), or None when singular."""
+    """Inverse of a square matrix of raw values (see rref), or None when
+    singular; ValueError when the matrix is not square."""
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
     aug = [list(row) + [0] * n for row in m]
     for i in range(n):
         aug[i][n + i] = 1

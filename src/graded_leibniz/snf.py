@@ -2,13 +2,31 @@
 
 Arbitrary-precision throughout.  One elimination loop, `_hnf`, brings
 rows to Hermite form; `row_hnf` returns its result with the row
-transform U (H == U @ M), and `smith_normal_form` alternates it over
-rows and columns, returning unimodular witnesses with U @ M @ V == D.
+transform U (H == U @ M), `smith_normal_form` alternates it over rows
+and columns, returning unimodular witnesses with U @ M @ V == D, and
+`int_matrix_inverse` reads the inverse off `row_hnf`'s transform.  The
+public entry points take matrices of exact ints only: `_int_rows`
+refuses any other entry and ragged rows with ValueError, and the loop
+itself checks nothing.
 """
 
 from __future__ import annotations
 
-from .linalg import raw_inverse
+
+def _int_rows(mat) -> list[list[int]]:
+    """A fresh copy of `mat` as lists of ints; ValueError on ragged rows
+    or on an entry that is not an int (a bool, a float, a string)."""
+    a = [list(row) for row in mat]
+    if any(len(row) != len(a[0]) for row in a):
+        raise ValueError("matrix rows differ in length")
+    if any(type(x) is not int for row in a for x in row):
+        raise ValueError("integer matrix holds an entry that is not an int")
+    return a
+
+
+def _require_square(mat) -> None:
+    if any(len(row) != len(mat) for row in mat):
+        raise ValueError("matrix is not square")
 
 
 def int_identity(n: int) -> list[list[int]]:
@@ -22,10 +40,11 @@ def int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 def det_int(mat: list[list[int]]) -> int:
     """Exact integer determinant via fraction-free (Bareiss) elimination."""
-    n = len(mat)
+    a = _int_rows(mat)
+    _require_square(a)
+    n = len(a)
     if n == 0:
         return 1
-    a = [row[:] for row in mat]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -93,7 +112,7 @@ def row_hnf(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     row lattice, so two matrices have equal H iff one is a unimodular
     row transform of the other.
     """
-    a = [list(map(int, row)) for row in mat]
+    a = _int_rows(mat)
     u = int_identity(len(a))
     _hnf(a, u)
     return a, u
@@ -109,9 +128,9 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[
     d_i does not divide a later d_j, adding row j into row i puts their
     gcd within reach of the next column pass.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [list(map(int, row)) for row in mat]
+    a = _int_rows(mat)
+    m = len(a)
+    n = len(a[0]) if m else 0
     u = int_identity(m)
     vt = int_identity(n)
     while True:
@@ -135,14 +154,18 @@ def diagonal_of(d: list[list[int]]) -> list[int]:
 
 
 def int_matrix_inverse(mat: list[list[int]]) -> list[list[int]] | None:
-    """Exact inverse of an integer matrix with determinant +-1.
+    """Exact inverse of a square integer matrix with determinant +-1.
 
-    Returns None when the matrix is singular; raises ValueError when it
-    is invertible over the rationals but not over the integers.
+    The row Hermite form is the identity exactly when the matrix is
+    unimodular, and then the transform U is the inverse.  Returns None
+    when the matrix is singular (the last Hermite row is zero); raises
+    ValueError when it is invertible over the rationals but not over the
+    integers, or not square.
     """
-    out = raw_inverse(mat)
-    if out is None:
-        return None
-    if any(x.denominator != 1 for row in out for x in row):
+    _require_square(mat)
+    h, u = row_hnf(mat)
+    if h == int_identity(len(h)):
+        return u
+    if any(h[-1]):
         raise ValueError("matrix is not invertible over the integers")
-    return [[int(x) for x in row] for row in out]
+    return None

@@ -354,6 +354,8 @@ def _snf_suite():
             for j in range(cols):
                 if i != j and d[i][j]:
                     return False, {"trial": trial, "reason": "off-diagonal entry"}
+        if any(x < 0 for x in diag):
+            return False, {"trial": trial, "reason": "negative diagonal entry"}
         for a, b in zip(diag, diag[1:]):
             if a == 0 and b != 0:
                 return False, {"trial": trial, "reason": "zero before nonzero"}

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graded_leibniz import QQ, make_family, smith_normal_form, row_hnf
-from graded_leibniz import gradings
+from graded_leibniz import gradings, linalg, snf, verification
+from graded_leibniz.linalg import raw_inverse
 from graded_leibniz.snf import det_int, diagonal_of, int_matrix_inverse, int_mat_mul
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -197,6 +199,19 @@ def test_integer_kernels_are_byte_identical(monkeypatch, matrices, form):
     assert found == KERNEL_DIGESTS[matrices, form], f"{form} on the {matrices} matrices changed"
 
 
+def test_snf_suite_fails_on_a_negative_diagonal(monkeypatch):
+    """Negating D's first row and U's keeps U @ M @ V == D and U unimodular;
+    only the sign check catches it."""
+
+    def negated(mat):
+        u, d, v = smith_normal_form(mat)
+        return [[-x for x in u[0]]] + u[1:], [[-x for x in d[0]]] + d[1:], v
+
+    monkeypatch.setattr(verification, "smith_normal_form", negated)
+    ok, detail = verification._snf_suite()
+    assert not ok and detail["reason"] == "negative diagonal entry"
+
+
 @given(matrices(5))
 @settings(max_examples=200)
 def test_row_hnf_properties(mat):
@@ -271,3 +286,43 @@ def test_unimodular_witnesses_invert_exactly(mat):
         winv = int_matrix_inverse(w)
         n = len(w)
         assert int_mat_mul(w, winv) == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=300)
+def test_int_matrix_inverse_agrees_with_the_rational_inverse(mat):
+    over_q = raw_inverse(mat)
+    if over_q is None:
+        assert int_matrix_inverse(mat) is None
+    elif all(x.denominator == 1 for row in over_q for x in row):
+        assert int_matrix_inverse(mat) == over_q
+    else:
+        with pytest.raises(ValueError):
+            int_matrix_inverse(mat)
+
+
+@pytest.mark.parametrize("fn", [row_hnf, smith_normal_form, det_int, int_matrix_inverse])
+@pytest.mark.parametrize("mat", [
+    [[1.5, 2]], [["3", 1]], [[2.7]], [[True, 0], [0, 1]], [[Fraction(1), 0], [0, 1]], [[1.5, 0], [0, 2]],
+    [[1, 2], [3]],
+])
+def test_integer_entry_points_refuse_inexact_entries_and_ragged_rows(fn, mat):
+    with pytest.raises(ValueError):
+        fn(mat)
+
+
+@pytest.mark.parametrize("fn", [raw_inverse, int_matrix_inverse, det_int])
+@pytest.mark.parametrize("mat", [[[1, 2, 3], [0, 1, 4]], [[1, 2], [0, 1], [3, 4]], [[1, 0], [0]]])
+def test_inverses_and_determinants_refuse_non_square_matrices(fn, mat):
+    with pytest.raises(ValueError):
+        fn(mat)
+
+
+def test_snf_uses_nothing_from_linalg():
+    """Every integer elimination (Smith, Hermite, inverse) runs on snf's own loop."""
+    assert not [name for name, obj in vars(snf).items()
+                if obj is linalg or getattr(obj, "__module__", None) == linalg.__name__]
+    assert not any(obj is Fraction or getattr(obj, "__module__", None) == "fractions"
+                   for obj in vars(snf).values())
