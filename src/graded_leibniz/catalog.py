@@ -25,7 +25,14 @@ coordinate over all basis vectors at once, as an integer combination of
 the universal degrees' coordinate columns (reduced mod the invariant
 factor on a torsion coordinate), and keys the partition on the degrees'
 first-occurrence labels, building a grading only for the first
-homomorphism per partition.
+homomorphism per partition.  The menu and the bound on free images make
+the sweep exhaustive only for the groups it tries.
+
+Criterion 7 of the verification suite therefore takes its classes from
+`gradings.homogeneous_partitions`, a closure over the lattices spanned by
+differences of universal degrees that is exact for every abelian group at
+once, with one `universal_grading` representative per class, and runs the
+menu sweep only at n <= 4, where it must find the same partitions.
 """
 
 from __future__ import annotations
@@ -170,12 +177,16 @@ def catalog(family: str, n: int, field: Field = QQ) -> list[CatalogEntry]:
 
 
 def enumerate_h1_gradings(alg: Algebra, hypothesis: str, group_menu) -> list[Grading]:
-    """All gradings with homogeneous standard basis, up to equivalence.
+    """All gradings with homogeneous standard basis by the groups of
+    `group_menu`, up to equivalence: the menu sweep.
 
     Under the stated generator-homogeneity hypothesis, every grading of
     these families makes the whole standard basis homogeneous (each
     e_j lies in an iterated bracket of the generators), so enumerating
-    homomorphisms out of the universal group is exhaustive.
+    homomorphisms out of the universal group is exhaustive for the menu's
+    groups, with free images bounded by the dimension.  For every abelian
+    group at once, use `gradings.homogeneous_partitions`; criterion 7
+    does, and cross-checks it against this sweep at n <= 4.
     """
     if hypothesis not in HYPOTHESES:
         raise ValueError(f"hypothesis must be one of {HYPOTHESES}")

@@ -12,7 +12,9 @@ prescribed blocks.  It is computed by presenting the group with one
 generator per block and one relation per nonzero structure constant,
 then reducing with the Smith normal form.  Every homogeneous-basis
 grading factors through the universal grading of its partition, which
-turns exhaustive grading searches into searches over homomorphisms.
+turns exhaustive grading searches into searches over homomorphisms, or,
+for every group at once, over the lattices spanned by differences of the
+universal degrees (`homogeneous_partitions`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import Algebra
-from .errors import DifferentAlgebras, GroupMismatch
+from .errors import DifferentAlgebras, GroupMismatch, UnsupportedFamily
 from .groups import AbelianGroup, GroupElem, all_homs, apply_hom, validate_hom
 from .linalg import Subspace, _values, rref
 from .snf import diagonal_of, int_mat_mul, int_matrix_inverse, row_hnf, smith_normal_form
@@ -335,6 +337,87 @@ def _coarsenings(base: Grading, group_menu) -> list[Grading]:
             seen.setdefault(key, (group, images))
     return sorted((coarsen(base, group, images) for group, images in seen.values()),
                   key=Grading.partition)
+
+
+def _span(rows) -> list[list[int]]:
+    """The nonzero rows of the Hermite form of the lattice `rows` span."""
+    return [row for row in row_hnf(rows)[0] if any(row)]
+
+
+def _in_span(hnf, v) -> bool:
+    """Whether v lies in the lattice with Hermite rows `hnf`: reduce v at each
+    pivot; a pivot that does not divide v's entry, or a nonzero remainder,
+    puts v outside."""
+    v = list(v)
+    for row in hnf:
+        c = next(k for k, x in enumerate(row) if x)
+        q, r = divmod(v[c], row[c])
+        if r:
+            return False
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def homogeneous_partitions(algebra: Algebra):
+    """Every partition of a grading with homogeneous standard basis, by any
+    abelian group, sorted; returns (partitions, lattices).
+
+    Each such grading coarsens the universal grading of the discrete
+    partition along some U -> G with kernel H, and e_i, e_j share a degree
+    iff d_j - d_i lies in H, with d the universal degrees.  So the partition
+    depends only on S = H ∩ D, D the distinct differences d_j - d_i (i < j),
+    and every such S is closed: S = span(S) ∩ D.  A breadth-first search
+    from the empty set adds one δ in D at a time and closes, S' =
+    span(S ∪ {δ}) ∩ D, deduplicating on S'; each closed set comes out once,
+    and each is the partition of the grading by U / span(S).  Spans are
+    Hermite forms (`snf.row_hnf`) holding m·e_k for each torsion coordinate
+    k of U, of invariant factor m, so they are taken in U, not in Z^m.
+    `lattices` counts the spans formed.  Patera and Zassenhaus, On Lie
+    gradings I, Linear Algebra Appl. 112 (1989); Elduque and Kochetov,
+    Gradings on Simple Lie Algebras, AMS (2013), ch. 1.
+
+    Raises UnsupportedFamily when the discrete partition has no universal
+    grading (lie_q).
+    """
+    pair = universal_grading(algebra)
+    if pair is None:
+        raise UnsupportedFamily("the discrete partition admits no universal grading here")
+    group, base = pair
+    n = algebra.dim
+    moduli = (0,) * group.free_rank + group.torsion
+    coords = [d.coords for d in base.degrees]
+    pair_diff = {}
+    for j in range(n):
+        for i in range(j):
+            pair_diff[i, j] = tuple((b - a) % m if m else b - a
+                                    for a, b, m in zip(coords[i], coords[j], moduli))
+    diffs = sorted(set(pair_diff.values()))
+    # the torsion rows m·e_k are already in Hermite form
+    torsion = [[m if k == c else 0 for c in range(len(moduli))]
+               for k, m in enumerate(moduli) if m]
+    spans = {frozenset(): torsion}
+    queue = [frozenset()]
+    lattices = 0
+    for closed in queue:
+        hnf = spans[closed]
+        for delta in diffs:
+            if delta in closed:
+                continue
+            span = _span(hnf + [list(delta)])
+            lattices += 1
+            # the new span holds the old one, so only the rest of D is tested
+            grown = frozenset(x for x in diffs if x in closed or _in_span(span, x))
+            if grown not in spans:
+                spans[grown] = span
+                queue.append(grown)
+    # e_j is labelled by the least e_i sharing its degree
+    partitions = [
+        tuple(_blocks(next((i for i in range(j) if pair_diff[i, j] in closed), j)
+                      for j in range(n)).values())
+        for closed in queue
+    ]
+    return sorted(partitions), lattices
 
 
 def equivalent(g1: Grading, g2: Grading) -> bool:

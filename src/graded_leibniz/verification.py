@@ -41,7 +41,14 @@ from .catalog import (
     lift_direct_sum_gradings,
 )
 from .fields import QQ, Field
-from .gradings import coarsen, equivalent, universal_grading, verify_grading
+from .gradings import (
+    Grading,
+    coarsen,
+    equivalent,
+    homogeneous_partitions,
+    universal_grading,
+    verify_grading,
+)
 from .groups import AbelianGroup
 from .snf import det_int, diagonal_of, int_mat_mul, smith_normal_form
 from .torus import (
@@ -82,7 +89,8 @@ class Claim:
 
 def _claim(criterion, name, family, dim, field, check, *args):
     """A zero-argument thunk: time `check(*args)`, which returns
-    (passed, detail), and report it as one Claim."""
+    (passed, detail), and report it as one Claim.  The thunk's `criterion`
+    attribute lets a caller run some criteria only."""
     def thunk() -> Claim:
         start = time.monotonic()
         passed, detail = check(*args)
@@ -90,6 +98,7 @@ def _claim(criterion, name, family, dim, field, check, *args):
         return Claim(criterion, name, family, dim,
                      None if field is None else repr(field), passed, detail, elapsed)
 
+    thunk.criterion = criterion
     return thunk
 
 
@@ -102,10 +111,14 @@ def _leibniz(family, n, field):
     if not rep.ok:
         detail["violation"] = list(rep.first_violation)
     passed = rep.ok
-    if family in ("lie_l", "lie_q"):
+    # the Lie families must be antisymmetric and the Leibniz ones not: nf
+    # and f2 have [e_1, e_1] = e_2 and f1 has [e_2, e_1] = e_3 with
+    # [e_1, e_2] = 0; f1 and f2 of dimension 2 are abelian, so say nothing
+    lie = family in ("lie_l", "lie_q")
+    if lie or n >= (2 if family == "nf" else 3):
         anti = is_antisymmetric(alg)
         detail["antisymmetric"] = anti
-        passed = passed and anti
+        passed = passed and anti == lie
     return passed, detail
 
 
@@ -279,15 +292,35 @@ def _toral_table(family, n, case):
 
 # -- criterion 7: enumeration against the catalogs ---------------------------
 
+#: enumerations at or below this dimension are cross-checked by the menu sweep
+SWEEP_CHECK_DIM = 4
+
+
 def _enumeration(family, n):
+    """Every class by lattice closure, one universal-grading representative
+    each, against the catalog and the count n (nf) or n(n+1)/2 - 1 (f1, f2);
+    small sizes also against the partitions of the menu sweep."""
     alg = make_family(family, n)
-    found = enumerate_h1_gradings(alg, FAMILY_HYPOTHESIS[family], default_group_menu(n))
+    partitions, lattices = homogeneous_partitions(alg)
+    found = []
+    for partition in partitions:
+        pair = universal_grading(alg, partition)
+        if pair is None:
+            return False, {"reason": f"partition {partition} admits no grading"}
+        found.append(pair[1])
     report = compare(found, catalog(family, n))
-    return report.ok, {
+    count = n if family == "nf" else n * (n + 1) // 2 - 1
+    agrees = None
+    if n <= SWEEP_CHECK_DIM:
+        swept = enumerate_h1_gradings(alg, FAMILY_HYPOTHESIS[family], default_group_menu(n))
+        agrees = sorted(g.partition() for g in swept) == partitions
+    return report.ok and len(found) == count and agrees is not False, {
         "classes": len(found),
         "missing": len(report.missing),
         "extra": len(report.extra),
         "expected_instances": len(report.expected),
+        "lattices": lattices,
+        "sweep_agrees": agrees,
     }
 
 
@@ -368,12 +401,21 @@ def _coarsening_suite():
     rng = random.Random(77002026)
     universal: dict[tuple, tuple] = {}
     by_algebra: dict[tuple, list] = {}
-    produced = 0
+    produced = rejected = 0
     while produced < 200:
         family = rng.choice(("nf", "f1", "f2"))
         n = rng.randint(3, 7)
         if (family, n) not in universal:
-            universal[family, n] = universal_grading(make_family(family, n))
+            source, base = universal[family, n] = universal_grading(make_family(family, n))
+            # a non-grading: swapping the degrees of e_1 and e_n breaks
+            # [e_1, e_1] = e_2 (nf, f2) and [e_2, e_1] = e_3 (f1); swapping
+            # e_1 and e_2 would not do for f1 3, whose one bracket
+            # [e_2, e_1] = e_3 is symmetric in their degrees
+            d = base.degrees
+            swapped = (d[-1],) + d[1:-1] + (d[0],)
+            if verify_grading(Grading(base.algebra, source, swapped)).ok:
+                return False, {"reason": f"{family} {n} with e_1, e_n degrees swapped verified"}
+            rejected += 1
         source, base = universal[family, n]
         group = rng.choice(default_group_menu(n))
         # the universal groups are free, so independent uniform images
@@ -394,7 +436,7 @@ def _coarsening_suite():
                 return False, {"reason": "equivalence not symmetric"}
             if equivalent(g1, g2) and equivalent(g2, g3) and not equivalent(g1, g3):
                 return False, {"reason": "equivalence not transitive"}
-    return True, {"coarsenings": produced}
+    return True, {"coarsenings": produced, "swaps_rejected": rejected}
 
 
 # -- harness -----------------------------------------------------------------

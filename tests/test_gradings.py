@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graded_leibniz
 from graded_leibniz import (
     AbelianGroup,
     Algebra,
@@ -16,13 +20,17 @@ from graded_leibniz import (
     Grading,
     GroupMismatch,
     QQ,
+    UnsupportedFamily,
     all_homs,
+    catalog,
     coarsen,
+    compare,
     default_group_menu,
     enumerate_h1_gradings,
     enumerate_toral_gradings,
     equivalent,
     factor_through_universal,
+    homogeneous_partitions,
     make_family,
     transport,
     trivial_grading,
@@ -392,3 +400,64 @@ def torsion_base(alg):
 def test_sweep_columns_match_reference_loop(make_base, family, n, menu):
     base = make_base(make_family(family, n))
     assert as_json(_coarsenings(base, menu)) == as_json(reference_coarsenings(base, menu, n))
+
+
+# -- every homogeneous-basis partition by lattice closure -------------------------
+
+
+def admissible_partitions(alg):
+    """The oracle: every set partition that some grading realizes exactly."""
+    return sorted(
+        tuple(sorted(tuple(sorted(block)) for block in part))
+        for part in set_partitions(list(range(1, alg.dim + 1)))
+        if universal_grading(alg, part) is not None
+    )
+
+
+@pytest.mark.parametrize("family", ["nf", "f1", "f2", "lie_l"])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_closure_finds_every_admissible_partition(family, n):
+    alg = make_family(family, n)
+    partitions, lattices = homogeneous_partitions(alg)
+    assert partitions == admissible_partitions(alg)
+    assert lattices >= len(partitions) - 1
+
+
+def test_closure_spans_carry_the_torsion_of_the_universal_group():
+    # 2 deg e_1 = deg e_2 and 2 deg e_2 = deg e_1, so U = Z x Z3; without the
+    # torsion row 3·e_k a span in Z^2 would miss that 3 (deg e_2 - deg e_1) = 0
+    alg = Algebra(3, QQ, {(1, 1): [(2, 1)], (2, 2): [(1, 1)]})
+    assert universal_grading(alg)[0] == AbelianGroup(1, (3,))
+    partitions, _ = homogeneous_partitions(alg)
+    assert partitions == admissible_partitions(alg)
+    assert len(partitions) == 5
+
+
+@pytest.mark.parametrize("family, sizes", [("nf", range(2, 9)), ("f1", range(3, 7)), ("f2", range(3, 8))])
+def test_closure_classes_are_the_catalog(family, sizes):
+    for n in sizes:
+        alg = make_family(family, n)
+        partitions, _ = homogeneous_partitions(alg)
+        assert len(partitions) == (n if family == "nf" else n * (n + 1) // 2 - 1)
+        found = [universal_grading(alg, part)[1] for part in partitions]
+        assert compare(found, catalog(family, n)).ok
+
+
+def test_closure_refuses_an_algebra_without_a_discrete_universal_grading():
+    with pytest.raises(UnsupportedFamily):
+        homogeneous_partitions(make_family("lie_q", 4))
+
+
+def test_closure_does_not_depend_on_the_hash_seed():
+    script = ("from graded_leibniz import make_family, homogeneous_partitions\n"
+              "for f, n in (('f1', 6), ('f2', 6), ('lie_l', 5)):\n"
+              "    print(homogeneous_partitions(make_family(f, n)))\n")
+    # the child imports this same package, installed or not
+    root = os.path.dirname(os.path.dirname(graded_leibniz.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    outputs = {
+        subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)).stdout
+        for seed in ("0", "1")
+    }
+    assert len(outputs) == 1 and outputs.pop().count("\n") == 3

@@ -1,0 +1,56 @@
+"""The mutant table: each mutant breaks one piece of the library, and a named
+claim of the verification suite must fail under it.
+
+Each test monkeypatches one mutant, runs only the criteria named for it and
+asserts that the named claim is among the failures.  A mutant that no claim
+kills stays in the table, marked xfail(strict=True), so that the run names it
+(`pytest tests/test_mutants.py -rxX`) and a claim that starts to kill it
+turns the xfail into an error until the mark is removed.
+"""
+
+import pytest
+
+from graded_leibniz import gradings, verification
+from graded_leibniz.gradings import GradingReport
+from graded_leibniz.verification import all_claim_thunks
+
+
+def failed_claims(criteria):
+    """(criterion, claim, family, dim) of each failing claim of `criteria`."""
+    claims = [thunk() for thunk in all_claim_thunks() if thunk.criterion in criteria]
+    return {(c.criterion, c.name, c.family, c.dim) for c in claims if not c.passed}
+
+
+#: module, attribute, replacement given the original, criteria to run, a claim
+#: the mutant must fail
+MUTANTS = [
+    pytest.param(verification, "is_antisymmetric", lambda orig: lambda alg: True,
+                 {1}, (1, "leibniz-identity", "nf", 4), id="is_antisymmetric-always-true"),
+    pytest.param(verification, "verify_grading", lambda orig: lambda grading: GradingReport(True, None),
+                 {10}, (10, "coarsening-random-suite", None, None), id="verify_grading-always-ok"),
+    # the closure's last row is the difference δ it adds; dropping it leaves
+    # each closed set closed, so the search never leaves the empty set
+    pytest.param(gradings, "_span", lambda orig: lambda rows: orig(rows[:-1]),
+                 {7}, (7, "enumeration-vs-catalog", "f1", 5), id="closure-skips-delta"),
+    pytest.param(gradings, "_in_span", lambda orig: lambda hnf, v: False,
+                 {7}, (7, "enumeration-vs-catalog", "nf", 6), id="closure-membership-always-fails"),
+    pytest.param(
+        verification, "equivalent", lambda orig: lambda g1, g2: True,
+        {10}, (10, "coarsening-random-suite", None, None),
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="no claim kills it: the suite checks only that equivalent is "
+                   "reflexive, symmetric and transitive, which a constant satisfies"),
+        id="equivalent-always-true",
+    ),
+]
+
+
+def test_named_criteria_pass_unmutated():
+    assert failed_claims({1, 7, 10}) == set()
+
+
+@pytest.mark.parametrize("module, name, replace, criteria, claim", MUTANTS)
+def test_mutant_is_killed(monkeypatch, module, name, replace, criteria, claim):
+    monkeypatch.setattr(module, name, replace(getattr(module, name)))
+    assert claim in failed_claims(criteria)

@@ -36,8 +36,10 @@ from graded_leibniz import (
 )
 from graded_leibniz.linalg import raw_inverse, rref
 from graded_leibniz.snf import det_int, int_mat_mul
+from graded_leibniz import torus
 from graded_leibniz.torus import (
     _characteristic_subspaces,
+    _coset_outside,
     _family_param_space,
     _keeps_torus_diagonal,
     _row_keeps_torus_diagonal,
@@ -515,6 +517,39 @@ def test_walk_counters_at_benchmark_sizes(family, n, p, forced):
     first = 2 if family == "nf" else 3
     assert report.forced == sum(len({tuple(row[:d - 1] for row in m) for m in auts})
                                 for d in range(first, n + 1))
+
+
+def reference_coset_outside(x0, basis, avoid, p):
+    """The walk's coset filter written the slow way: build the coset, then
+    evaluate every equation of every avoided subspace on each vector."""
+    coset = [tuple(x0)]
+    for v in basis:
+        coset = [tuple((a + t * b) % p for a, b in zip(x, v)) for x in coset for t in range(p)]
+    return [x for x in coset
+            if all(any(sum(a * b for a, b in zip(e, x)) % p for e in eqs) for eqs in avoid)]
+
+
+#: the benchmark's walks and those of the aut-exhaustion claims
+WALK_SIZES = [("nf", 4, 5), ("nf", 5, 3), ("f1", 4, 5), ("f1", 5, 3), ("nf", 4, 3), ("f1", 4, 3)]
+WALK_SIZES += [(family, n, p) for p in (2, 3, 5) for family, n in (("nf", 2), ("nf", 3), ("f1", 3))]
+
+
+@pytest.mark.parametrize("family,n,p", WALK_SIZES)
+def test_coset_residues_give_the_reference_candidates(monkeypatch, family, n, p):
+    """Every candidate list of the walk, in order, equals the reference filter's."""
+    calls = []
+
+    def checked(x0, basis, avoid, q):
+        got = _coset_outside(x0, basis, avoid, q)
+        assert got == reference_coset_outside(x0, basis, avoid, q)
+        calls.append(bool(avoid))
+        return got
+
+    monkeypatch.setattr(torus, "_coset_outside", checked)
+    alg = make_family(family, n, Field(p))
+    report = brute_force_aut(alg, budget=p ** (n * n))
+    assert report.count == family_counts(family, n, p)[0]
+    assert calls and (n < 3 or any(calls))
 
 
 @pytest.mark.parametrize(
