@@ -21,8 +21,8 @@ Indices are 1-based everywhere, matching the usual e_1..e_n notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DimensionTooSmall,
@@ -187,8 +187,7 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
 # -- identities ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeibnizReport:
+class LeibnizReport(NamedTuple):
     ok: bool
     first_violation: tuple[int, int, int] | None = None
 
@@ -286,8 +285,7 @@ def lower_central_series(alg: Algebra) -> list[Subspace]:
     return series
 
 
-@dataclass(frozen=True)
-class NilpotencyProfile:
+class NilpotencyProfile(NamedTuple):
     dims: tuple[int, ...]
     nilpotent: bool
     index: int | None

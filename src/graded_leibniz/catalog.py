@@ -37,7 +37,7 @@ menu sweep only at n <= 4, where it must find the same partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebras import Algebra, direct_sum, make_family
 from .errors import BadDimension, DifferentAlgebras, UnsupportedFamily
@@ -56,8 +56,7 @@ FAMILY_HYPOTHESIS = {"nf": "e1_homog", "f1": "e1_e2_homog", "f2": "e1_homog"}
 CATALOG_FAMILIES = ("nf", "f1", "f2")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One instantiated grading from a classification list."""
 
     family: str
@@ -201,8 +200,7 @@ def enumerate_h1_gradings(alg: Algebra, hypothesis: str, group_menu) -> list[Gra
     return _coarsenings(pair[1], group_menu)
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     found: tuple[Grading, ...]
     expected: tuple[CatalogEntry, ...]
     missing: tuple[CatalogEntry, ...]

@@ -37,7 +37,8 @@ from .verification import run_all, summarize
 _FAMILY_FLAGS = {"nf": "nf", "f1": "f1", "f2": "f2", "lie-l": "lie_l", "lie-q": "lie_q"}
 
 #: assumed throughput for converting a --budget-ms time budget into the
-#: library's search-space budget (matrices/states examined per ms)
+#: library's search-space budget (matrices or states examined, or normalizer
+#: walk calls made, per ms)
 OPS_PER_MS = 50_000
 
 

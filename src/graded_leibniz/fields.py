@@ -9,7 +9,6 @@ reduced form, positive denominator); prime-field values as ints in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch
@@ -52,18 +51,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Field:
     """Field descriptor: the rationals when p is None, else F_p for prime p."""
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
+    def __init__(self, p: int | None = None):
         # 5.0 would pass is_prime and then hold float constants
-        if self.p is not None and type(self.p) is not int:
-            raise ValueError(f"modulus {self.p!r} is not an integer")
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        if p is not None and type(p) is not int:
+            raise ValueError(f"modulus {p!r} is not an integer")
+        if p is not None and not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        self.p = p
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
 
     @property
     def kind(self) -> str:
@@ -129,12 +136,23 @@ class Field:
 QQ = Field()
 
 
-@dataclass(frozen=True)
 class Scalar:
     """An exact field element; arithmetic stays inside one field."""
 
-    field: Field
-    value: Fraction | int
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: Field, value: Fraction | int):
+        self.field = field
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # as tuples, the fields are compared by identity first
+        return (self.field, self.value) == (other.field, other.value)
+
+    def __hash__(self):
+        return hash((self.field, self.value))
 
     def _check(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):

@@ -19,7 +19,7 @@ universal degrees (`homogeneous_partitions`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebras import Algebra
 from .errors import DifferentAlgebras, GroupMismatch, UnsupportedFamily
@@ -57,8 +57,11 @@ class Grading:
         return self.degrees[i - 1]
 
     def partition(self) -> tuple[tuple[int, ...], ...]:
-        """Blocks of equal-degree basis indices, ordered by least index."""
-        return tuple(_blocks(self.degrees).values())
+        """Blocks of equal-degree basis indices, ordered by least index.
+
+        Keyed on raw coordinates: every degree lies in self.group, so equal
+        coordinates mean equal degrees, and tuples of ints hash faster."""
+        return tuple(_blocks(d.coords for d in self.degrees).values())
 
     def components(self) -> list[tuple[GroupElem, tuple[int, ...]]]:
         """(degree, indices) pairs in canonical support order.
@@ -144,8 +147,7 @@ class SubspaceGrading:
         return f"SubspaceGrading({self.group.describe()}, {len(self.components)} components)"
 
 
-@dataclass(frozen=True)
-class GradingReport:
+class GradingReport(NamedTuple):
     """first_violation is a basis triple (i, j, k) for the degree-map
     form, or a pair of component degrees for the subspace form."""
 

@@ -10,34 +10,44 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import GroupMismatch, InconsistentHomomorphism
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
         # exact types: int() would read True as 1 and 2.5 as 2
-        if type(self.free_rank) is not int:
-            raise ValueError(f"free rank {self.free_rank!r} is not an int")
-        if self.free_rank < 0:
+        if type(free_rank) is not int:
+            raise ValueError(f"free rank {free_rank!r} is not an int")
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        if not isinstance(self.torsion, (tuple, list)):  # tuple() raises TypeError on an int
-            raise ValueError(f"torsion {self.torsion!r} is not a tuple of invariant factors")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        for m in self.torsion:
+        if not isinstance(torsion, (tuple, list)):  # tuple() raises TypeError on an int
+            raise ValueError(f"torsion {torsion!r} is not a tuple of invariant factors")
+        torsion = tuple(torsion)
+        for m in torsion:
             if type(m) is not int:
                 raise ValueError(f"invariant factor {m!r} is not an int")
             if m < 2:
                 raise ValueError(f"invariant factor {m} < 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError(f"invariant factors {a}, {b} violate the divisibility chain")
+        self.free_rank = free_rank
+        self.torsion = torsion
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.free_rank == other.free_rank and self.torsion == other.torsion
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
+
+    def __repr__(self):
+        return f"AbelianGroup(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     @property
     def ngens(self) -> int:
@@ -110,10 +120,21 @@ class AbelianGroup:
         return AbelianGroup(rank, tuple(torsion))
 
 
-@dataclass(frozen=True)
 class GroupElem:
-    group: AbelianGroup
-    coords: tuple[int, ...]
+    __slots__ = ("group", "coords")
+
+    def __init__(self, group: AbelianGroup, coords: tuple[int, ...]):
+        self.group = group
+        self.coords = coords
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # as tuples, the groups are compared by identity first
+        return (self.group, self.coords) == (other.group, other.coords)
+
+    def __hash__(self):
+        return hash((self.group, self.coords))
 
     def _check(self, other: "GroupElem") -> None:
         if not isinstance(other, GroupElem) or other.group != self.group:

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebras import Algebra, _annihilator_systems, lower_central_series
 from .errors import (
@@ -75,16 +75,14 @@ DEFAULT_BUDGET = 50_000_000
 TORUS_FAMILIES = ("nf", "f1")
 
 
-@dataclass(frozen=True)
-class AutParamsNF:
+class AutParamsNF(NamedTuple):
     """alpha invertible; betas = (beta_1, ..., beta_{n-1})."""
 
     alpha: Scalar
     betas: tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
-class AutParamsF1:
+class AutParamsF1(NamedTuple):
     """a1, b[0] (= b_2) invertible; b = (b_2, ..., b_n)."""
 
     a1: Scalar
@@ -92,16 +90,14 @@ class AutParamsF1:
     b: tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(NamedTuple):
     """Integer weights of the torus action on each basis vector."""
 
     torus_rank: int
     weights: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(NamedTuple):
     """Images of the torus character generators in a target group."""
 
     target: AbelianGroup
@@ -215,8 +211,7 @@ def torus_matrix(field: Field, ws: WeightSystem, params: tuple[Scalar, ...]) -> 
 # -- exhaustive automorphism search ---------------------------------------
 
 
-@dataclass(frozen=True)
-class AutSearchReport:
+class AutSearchReport(NamedTuple):
     """count is the number of automorphisms found and nodes the number of
     walk calls: one per column prefix reached, the empty one and the leaves
     included.  forced counts the columns computed from a forcing constraint
@@ -231,7 +226,8 @@ class AutSearchReport:
     pruned: int
 
 
-def _family_param_space(alg: Algebra, keep=None, calls: list | None = None):
+def _family_param_space(alg: Algebra, keep=None, calls: list | None = None,
+                        budget: int | None = None):
     """All (family parametrization) automorphism matrices over F_p, as
     int tuples, keyed and deduplicated by matrix.  None when the family
     has no stored parametrization.
@@ -247,26 +243,32 @@ def _family_param_space(alg: Algebra, keep=None, calls: list | None = None):
     With keep, only the matrices whose every row r passes keep(r, row)
     are returned, and the span walk prunes by it (see _add_affine_span)
     instead of building the rest.  When calls is a list, the walk's call
-    count for each leading value is appended to it.
+    count for each leading value is appended to it.  With budget, the walk
+    raises BudgetExceeded(calls so far, budget) at the first call past it,
+    counting over all leading values; those are evaluated one at a time,
+    so none is built that the walk does not reach.
     """
     if alg.label not in TORUS_FAMILIES:
         return None
     field = alg.field
     p = field.p
     n = alg.dim
-    units = field.units()
+    # lazily: a walk cut by its budget leaves the rest unbuilt
+    units = map(field.scalar, range(1, p))
     zero, one = field.zero(), field.one()
     # the origin of the non-leading parameters, then each unit direction
     points = [(zero,) * (n - 1)] + [
         tuple(one if i == j else zero for i in range(n - 1)) for j in range(n - 1)
     ]
     if alg.label == "nf":
-        evaluations = [[aut_matrix_nf(n, AutParamsNF(alpha, q)) for q in points]
-                       for alpha in units]
+        evaluations = ([aut_matrix_nf(n, AutParamsNF(alpha, q)) for q in points]
+                       for alpha in units)
     else:
-        evaluations = [[aut_matrix_f1(n, AutParamsF1(a1, q[0], (b2,) + q[1:])) for q in points]
-                       for a1 in units for b2 in units]
+        units = list(units)  # a1 and b2 each run over every unit
+        evaluations = ([aut_matrix_f1(n, AutParamsF1(a1, q[0], (b2,) + q[1:])) for q in points]
+                       for a1 in units for b2 in units)
     matrices = set()
+    spent = 0
     for origin, *along_units in evaluations:
         base = tuple(map(tuple, _values(origin, field)))
         steps = []
@@ -282,15 +284,19 @@ def _family_param_space(alg: Algebra, keep=None, calls: list | None = None):
             last = {r: k + 1 for k, step in enumerate(steps) for r, _ in step}
             settled = [[r for r in range(n) if last.get(r, 0) == k]
                        for k in range(len(steps) + 1)]
-        visited = _add_affine_span(matrices, base, steps, p, keep, settled)
+        walked = _add_affine_span(matrices, base, steps, p, keep, settled, 0, spent, budget)
         if calls is not None:
-            calls.append(visited)
+            calls.append(walked - spent)
+        spent = walked
     return matrices
 
 
-def _add_affine_span(out: set, point, steps, p: int, keep=None, settled=None, k: int = 0) -> int:
+def _add_affine_span(out: set, point, steps, p: int, keep=None, settled=None, k: int = 0,
+                     spent: int = 0, budget: int | None = None) -> int:
     """Add to out every point + sum t_j steps[j] mod p, t_j in 0..p-1, for
-    j >= k; return the number of calls made, this one included.
+    j >= k; return spent plus the number of calls made, this one included.
+    With budget, the call that takes that total past it raises
+    BudgetExceeded(total, budget).
 
     Matrices are tuples of row tuples and each step lists only the rows
     it changes, as (row index, delta).  With keep, only points whose
@@ -303,22 +309,25 @@ def _add_affine_span(out: set, point, steps, p: int, keep=None, settled=None, k:
     itself would hold out in a reference cycle, alive after the call until
     a gc pass.
     """
+    spent += 1
+    if budget is not None and spent > budget:
+        raise BudgetExceeded(spent, budget)
     if keep is not None:
         for r in settled[k]:
             if not keep(r, point[r]):
-                return 1
+                return spent
     if k == len(steps):
         out.add(point)
-        return 1
-    visited = 1 + _add_affine_span(out, point, steps, p, keep, settled, k + 1)
+        return spent
+    spent = _add_affine_span(out, point, steps, p, keep, settled, k + 1, spent, budget)
     step = steps[k]
     for _ in range(p - 1):
         rows = list(point)
         for r, delta in step:
             rows[r] = tuple((x + y) % p for x, y in zip(rows[r], delta))
         point = tuple(rows)
-        visited += _add_affine_span(out, point, steps, p, keep, settled, k + 1)
-    return visited
+        spent = _add_affine_span(out, point, steps, p, keep, settled, k + 1, spent, budget)
+    return spent
 
 
 def _reduced(rows, p: int) -> tuple[tuple[int, ...], ...]:
@@ -602,8 +611,7 @@ FAMILY_SEARCH_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class NormalizerReport:
+class NormalizerReport(NamedTuple):
     """normalizer_size counts the family matrices that pass the zero-pattern
     test, which is |N(T) within the family| whenever holds is true; nodes
     counts the calls of the pruned span walk that found them."""
@@ -649,7 +657,9 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     The test is row by row, so _family_param_space walks each leading
     value's affine span with it and cuts a subtree at the first final row
     that fails: only that set is built, not the whole family.  The budget
-    still gates on the family's size, not on the nodes walked.
+    gates on the work done: BudgetExceeded(calls so far, budget) is raised
+    at the first call of the walk past it, not on the family's size, or at
+    once when the (p-1)^r leading values, one call each at least, exceed it.
     """
     p = alg.field.p
     if p is None:
@@ -657,15 +667,18 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     if alg.label not in TORUS_FAMILIES:
         raise UnsupportedFamily(f"no automorphism parametrization for {alg.label!r}")
     n = alg.dim
-    family_size, _ = family_counts(alg.label, n, p)
-    if family_size > budget:
-        raise BudgetExceeded(family_size, budget)
+    # the walk makes at least one call per leading value, and those are
+    # the (p-1)^r torus points: more of them than the budget is refused
+    # before any is walked
+    _, leading = family_counts(alg.label, n, p)
+    if leading > budget:
+        raise BudgetExceeded(leading, budget)
     start = time.monotonic()
     ws = weight_system(alg.label, n)
 
     calls: list[int] = []
     normalizer = _family_param_space(
-        alg, lambda r, row: _row_keeps_torus_diagonal(row, ws.weights), calls)
+        alg, lambda r, row: _row_keeps_torus_diagonal(row, ws.weights), calls, budget)
 
     torus = {tuple(map(tuple, _values(torus_matrix(alg.field, ws, params), alg.field)))
              for params in itertools.product(alg.field.units(), repeat=ws.torus_rank)}

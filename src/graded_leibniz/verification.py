@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebras import (
     abelian_algebra,
@@ -63,8 +62,7 @@ from .torus import (
 F5 = Field(5)
 
 
-@dataclass
-class Claim:
+class Claim(NamedTuple):
     criterion: int
     name: str
     family: str | None
@@ -299,7 +297,12 @@ SWEEP_CHECK_DIM = 4
 def _enumeration(family, n):
     """Every class by lattice closure, one universal-grading representative
     each, against the catalog and the count n (nf) or n(n+1)/2 - 1 (f1, f2);
-    small sizes also against the partitions of the menu sweep."""
+    small sizes also against the partitions of the menu sweep.
+
+    `equivalent` is held to both sides: every catalog entry must be
+    equivalent to the representative of its class, which grades by the
+    universal group, mostly not the entry's, and no representative to the
+    next one, whose class differs."""
     alg = make_family(family, n)
     partitions, lattices = homogeneous_partitions(alg)
     found = []
@@ -310,15 +313,24 @@ def _enumeration(family, n):
         found.append(pair[1])
     report = compare(found, catalog(family, n))
     count = n if family == "nf" else n * (n + 1) // 2 - 1
+    representative = dict(zip(partitions, found))
+    entries_equivalent = sum(
+        equivalent(e.grading, representative[key]) for e in report.expected
+        if (key := e.grading.partition()) in representative)
+    neighbours_equivalent = sum(equivalent(a, b) for a, b in zip(found, found[1:]))
     agrees = None
     if n <= SWEEP_CHECK_DIM:
         swept = enumerate_h1_gradings(alg, FAMILY_HYPOTHESIS[family], default_group_menu(n))
         agrees = sorted(g.partition() for g in swept) == partitions
-    return report.ok and len(found) == count and agrees is not False, {
+    passed = (report.ok and len(found) == count and agrees is not False
+              and entries_equivalent == len(report.expected) and not neighbours_equivalent)
+    return passed, {
         "classes": len(found),
         "missing": len(report.missing),
         "extra": len(report.extra),
         "expected_instances": len(report.expected),
+        "entries_equivalent": entries_equivalent,
+        "neighbours_equivalent": neighbours_equivalent,
         "lattices": lattices,
         "sweep_agrees": agrees,
     }
@@ -495,6 +507,10 @@ def run_all(max_dim: int | None = None, threads: int | None = None) -> list[Clai
     thunks = all_claim_thunks(max_dim)
     workers = threads or 1
     if workers > 1:
+        # imported here: concurrent.futures pulls in logging, which a
+        # single-threaded run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(t) for t in thunks]
             return [f.result() for f in futures]

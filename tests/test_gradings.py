@@ -39,7 +39,12 @@ from graded_leibniz import (
     weight_system,
 )
 from graded_leibniz.catalog import FAMILY_HYPOTHESIS
-from graded_leibniz.gradings import SubspaceGrading, _coarsenings, universal_grading_with_generators
+from graded_leibniz.gradings import (
+    SubspaceGrading,
+    _blocks,
+    _coarsenings,
+    universal_grading_with_generators,
+)
 from graded_leibniz.torus import AutParamsNF, aut_matrix_nf
 
 Z = AbelianGroup(1)
@@ -86,6 +91,15 @@ def test_partition_and_components():
     comps = g.components()
     assert [ids for _, ids in comps] == [(2, 4), (1, 3)]  # identity degree first
     assert [d.coords for d in g.support()] == [(0,), (1,)]
+
+
+@pytest.mark.parametrize("family, n", [("nf", 6), ("f1", 6), ("f2", 6)])
+def test_partition_on_coordinates_is_the_partition_on_degrees(family, n):
+    # partition() keys on raw coordinates, which is exact because every
+    # degree lies in the grading's group; torsion groups included
+    for entry in catalog(family, n):
+        g = entry.grading
+        assert g.partition() == tuple(_blocks(g.degrees).values())
 
 
 def test_grading_json_round_trip():

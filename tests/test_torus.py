@@ -841,6 +841,21 @@ def test_normalizer_guards():
         normalizer_equals_torus(make_family("nf", 8, F5), budget=100)
 
 
+def test_normalizer_budget_counts_walk_calls():
+    # the budget gates on the calls of the pruned span walk, not on the
+    # 4 * 5^7 = 312,500 family matrices: nf 8 over F5 takes 144 calls
+    alg = make_family("nf", 8, F5)
+    assert normalizer_equals_torus(alg, budget=144).nodes == 144
+    with pytest.raises(BudgetExceeded) as info:
+        normalizer_equals_torus(alg, budget=143)
+    assert (info.value.required, info.value.budget) == (144, 143)
+    # each of the (p-1)^r leading values costs a call at least, so more of
+    # them than the budget is refused before the walk starts
+    with pytest.raises(BudgetExceeded) as info:
+        normalizer_equals_torus(make_family("f1", 3, F5), budget=15)
+    assert (info.value.required, info.value.budget) == (16, 15)
+
+
 # -- toral gradings -----------------------------------------------------------
 
 
