@@ -25,7 +25,7 @@ from .algebras import Algebra
 from .errors import DifferentAlgebras, GroupMismatch, UnsupportedFamily
 from .groups import AbelianGroup, GroupElem, all_homs, apply_hom, validate_hom
 from .linalg import Subspace, _values, rref
-from .snf import diagonal_of, int_mat_mul, int_matrix_inverse, row_hnf, smith_normal_form
+from .snf import _hnf, diagonal_of, int_mat_mul, int_matrix_inverse, row_hnf, smith_normal_form
 
 
 def _blocks(degrees) -> dict:
@@ -39,7 +39,7 @@ def _blocks(degrees) -> dict:
 class Grading:
     """A homogeneous-basis grading: one degree per basis index."""
 
-    __slots__ = ("algebra", "group", "degrees")
+    __slots__ = ("algebra", "group", "degrees", "_partition")
 
     def __init__(self, algebra: Algebra, group: AbelianGroup, degrees):
         degrees = tuple(degrees)
@@ -51,6 +51,7 @@ class Grading:
         self.algebra = algebra
         self.group = group
         self.degrees = degrees
+        self._partition = None
 
     def degree(self, i: int) -> GroupElem:
         """Degree of e_i (1-based)."""
@@ -60,8 +61,11 @@ class Grading:
         """Blocks of equal-degree basis indices, ordered by least index.
 
         Keyed on raw coordinates: every degree lies in self.group, so equal
-        coordinates mean equal degrees, and tuples of ints hash faster."""
-        return tuple(_blocks(d.coords for d in self.degrees).values())
+        coordinates mean equal degrees, and tuples of ints hash faster.
+        Computed on the first call and kept: nothing reassigns degrees."""
+        if self._partition is None:
+            self._partition = tuple(_blocks(d.coords for d in self.degrees).values())
+        return self._partition
 
     def components(self) -> list[tuple[GroupElem, tuple[int, ...]]]:
         """(degree, indices) pairs in canonical support order.
@@ -341,22 +345,24 @@ def _coarsenings(base: Grading, group_menu) -> list[Grading]:
                   key=Grading.partition)
 
 
-def _span(rows) -> list[list[int]]:
-    """The nonzero rows of the Hermite form of the lattice `rows` span."""
-    return [row for row in row_hnf(rows)[0] if any(row)]
+def _span(rows) -> list[tuple[int, list[int]]]:
+    """(pivot column, row) for each nonzero row of the Hermite form of the
+    lattice `rows` span.  `rows` is a fresh list, brought to Hermite form in
+    place with no transform; its row lists are only replaced, never changed."""
+    _hnf(rows, [[] for _ in rows])
+    return [(next(c for c, x in enumerate(row) if x), row) for row in rows if any(row)]
 
 
 def _in_span(hnf, v) -> bool:
-    """Whether v lies in the lattice with Hermite rows `hnf`: reduce v at each
-    pivot; a pivot that does not divide v's entry, or a nonzero remainder,
-    puts v outside."""
+    """Whether v lies in the lattice with Hermite rows `hnf`, as (pivot
+    column, row) pairs: reduce v at each pivot; a pivot that does not divide
+    v's entry, or a nonzero remainder, puts v outside."""
     v = list(v)
-    for row in hnf:
-        c = next(k for k, x in enumerate(row) if x)
-        q, r = divmod(v[c], row[c])
-        if r:
-            return False
-        if q:
+    for c, row in hnf:
+        if v[c]:
+            q, r = divmod(v[c], row[c])
+            if r:
+                return False
             v = [x - q * y for x, y in zip(v, row)]
     return not any(v)
 
@@ -373,8 +379,9 @@ def homogeneous_partitions(algebra: Algebra):
     from the empty set adds one δ in D at a time and closes, S' =
     span(S ∪ {δ}) ∩ D, deduplicating on S'; each closed set comes out once,
     and each is the partition of the grading by U / span(S).  Spans are
-    Hermite forms (`snf.row_hnf`) holding m·e_k for each torsion coordinate
-    k of U, of invariant factor m, so they are taken in U, not in Z^m.
+    Hermite forms (`snf._hnf`, with no transform) holding m·e_k for each
+    torsion coordinate k of U, of invariant factor m, so they are taken in
+    U, not in Z^m.
     `lattices` counts the spans formed.  Patera and Zassenhaus, On Lie
     gradings I, Linear Algebra Appl. 112 (1989); Elduque and Kochetov,
     Gradings on Simple Lie Algebras, AMS (2013), ch. 1.
@@ -395,8 +402,8 @@ def homogeneous_partitions(algebra: Algebra):
             pair_diff[i, j] = tuple((b - a) % m if m else b - a
                                     for a, b, m in zip(coords[i], coords[j], moduli))
     diffs = sorted(set(pair_diff.values()))
-    # the torsion rows m·e_k are already in Hermite form
-    torsion = [[m if k == c else 0 for c in range(len(moduli))]
+    # the torsion rows m·e_k are already in Hermite form, pivot k each
+    torsion = [(k, [m if k == c else 0 for c in range(len(moduli))])
                for k, m in enumerate(moduli) if m]
     spans = {frozenset(): torsion}
     queue = [frozenset()]
@@ -406,7 +413,7 @@ def homogeneous_partitions(algebra: Algebra):
         for delta in diffs:
             if delta in closed:
                 continue
-            span = _span(hnf + [list(delta)])
+            span = _span([row for _, row in hnf] + [list(delta)])
             lattices += 1
             # the new span holds the old one, so only the rest of D is tested
             grown = frozenset(x for x in diffs if x in closed or _in_span(span, x))

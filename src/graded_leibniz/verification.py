@@ -386,9 +386,10 @@ def _universal(family, n):
 def _snf_suite():
     rng = random.Random(20260818)
     for trial in range(1000):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        # randrange(a, b + 1) is what randint(a, b) calls: the same draws
+        rows = rng.randrange(1, 7)
+        cols = rng.randrange(1, 7)
+        m = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
         u, d, v = smith_normal_form(m)
         if int_mat_mul(int_mat_mul(u, m), v) != d:
             return False, {"trial": trial, "reason": "U*M*V != D"}
@@ -413,6 +414,7 @@ def _coarsening_suite():
     rng = random.Random(77002026)
     universal: dict[tuple, tuple] = {}
     by_algebra: dict[tuple, list] = {}
+    pools: dict[AbelianGroup, list] = {}
     produced = rejected = 0
     while produced < 200:
         family = rng.choice(("nf", "f1", "f2"))
@@ -432,7 +434,9 @@ def _coarsening_suite():
         group = rng.choice(default_group_menu(n))
         # the universal groups are free, so independent uniform images
         # of the generators are a uniform draw from the homomorphisms
-        pool = list(group.elements(free_bound=3))
+        if group not in pools:
+            pools[group] = list(group.elements(free_bound=3))
+        pool = pools[group]
         images = [rng.choice(pool) for _ in range(source.ngens)]
         grading = coarsen(base, group, images)
         if not verify_grading(grading).ok:

@@ -7,6 +7,8 @@ not pass.  All comparisons inside the claims are exact; no tolerances
 anywhere.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 from graded_leibniz import (
@@ -174,6 +176,21 @@ def test_claim_identities_are_unique(claims_by_criterion):
     ids = [(c.criterion, c.name, c.family, c.dim, c.field)
            for bucket in claims_by_criterion.values() for c in bucket]
     assert len(set(ids)) == len(ids) == 366
+
+
+#: sha256 over every claim's JSON without elapsed_ms, in report order, one
+#: line each; recorded before the integer layer stopped redoing work
+CLAIMS_DIGEST = "db180b6ec22ebe0fc645b77442c3907ca7195eff97b69739fe06ebb01b50a47e"
+
+
+def test_claims_are_byte_identical(claims_by_criterion):
+    h = hashlib.sha256()
+    for criterion in sorted(claims_by_criterion):
+        for claim in claims_by_criterion[criterion]:
+            doc = claim.to_json()
+            del doc["elapsed_ms"]
+            h.update(json.dumps(doc).encode() + b"\n")
+    assert h.hexdigest() == CLAIMS_DIGEST
 
 
 # -- spot checks straight against the library (no claim plumbing) ------------

@@ -410,6 +410,20 @@ def test_budget_flag_converts_to_search_budget(capsys):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("budget_ms, exit_code", [("1", 2), ("3", 0)])
+def test_normalizer_budget_ms_converts_at_the_walk_rate(capsys, budget_ms, exit_code):
+    # f1 5 over F5 walks 656 calls: past 1 ms at 250 calls per ms, within 3 ms
+    code, out, err = run_cli(
+        capsys, "normalizer", "--family", "f1", "--dim", "5", "--field", "F5",
+        "--budget-ms", budget_ms,
+    )
+    assert code == exit_code
+    if exit_code:
+        assert out == "" and "budget" in err
+    else:
+        assert json.loads(out)["nodes"] == 656
+
+
 @pytest.mark.parametrize("verb", [("aut-count", "--brute-force"), ("normalizer",)])
 @pytest.mark.parametrize("value", ["0", "-4"])
 def test_nonpositive_budget_ms_exits_two(capsys, verb, value):

@@ -38,6 +38,7 @@ from graded_leibniz import (
     verify_grading,
     weight_system,
 )
+from graded_leibniz import gradings as gradings_module
 from graded_leibniz.catalog import FAMILY_HYPOTHESIS
 from graded_leibniz.gradings import (
     SubspaceGrading,
@@ -100,6 +101,23 @@ def test_partition_on_coordinates_is_the_partition_on_degrees(family, n):
     for entry in catalog(family, n):
         g = entry.grading
         assert g.partition() == tuple(_blocks(g.degrees).values())
+
+
+@pytest.mark.parametrize("family, n", [("nf", 6), ("f1", 6), ("f2", 6)])
+def test_partition_is_computed_once(monkeypatch, family, n):
+    calls = []
+
+    def counting(degrees):
+        calls.append(1)
+        return _blocks(degrees)
+
+    monkeypatch.setattr(gradings_module, "_blocks", counting)
+    for entry in catalog(family, n):
+        g = Grading(entry.grading.algebra, entry.grading.group, entry.grading.degrees)
+        del calls[:]
+        first = g.partition()
+        assert g.partition() is first and len(calls) == 1
+        assert first == tuple(_blocks(d.coords for d in g.degrees).values())
 
 
 def test_grading_json_round_trip():

@@ -326,3 +326,117 @@ def test_snf_uses_nothing_from_linalg():
                 if obj is linalg or getattr(obj, "__module__", None) == linalg.__name__]
     assert not any(obj is Fraction or getattr(obj, "__module__", None) == "fractions"
                    for obj in vars(snf).values())
+
+
+# -- the integer loop against the loop it replaced -------------------------------
+
+
+def reference_hnf(a, u):
+    """The Hermite loop written the slow way: the pivot by min() over a list,
+    each row operation through a closure."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+
+    def row_op(i, j, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    r = 0
+    for c in range(n):
+        # gcd-reduce column c among rows r..m-1
+        while True:
+            nz = [(abs(a[i][c]), i) for i in range(r, m) if a[i][c]]
+            if not nz:
+                break
+            best = min(nz)[1]
+            if best != r:
+                a[r], a[best] = a[best], a[r]
+                u[r], u[best] = u[best], u[r]
+            done = True
+            for i in range(r + 1, m):
+                if a[i][c]:
+                    row_op(i, r, a[i][c] // a[r][c])
+                    if a[i][c]:
+                        done = False
+            if done:
+                break
+        if r < m and a[r][c]:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+                u[r] = [-x for x in u[r]]
+            for i in range(r):
+                q = a[i][c] // a[r][c]
+                if q:
+                    row_op(i, r, q)
+            r += 1
+            if r == m:
+                break
+
+
+def reference_row_hnf(mat):
+    a = [list(row) for row in mat]
+    u = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    reference_hnf(a, u)
+    return a, u
+
+
+def reference_smith_normal_form(mat):
+    """The alternation written the slow way: it checks for a diagonal only
+    after a row pass, so a column pass that leaves one costs a row pass more."""
+    a = [list(row) for row in mat]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    vt = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        reference_hnf(a, u)
+        if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            d = [x for x in diagonal_of(a) if x]
+            bad = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+                        if d[j] % d[i]), None)
+            if bad is None:
+                return u, a, [list(row) for row in zip(*vt)]
+            i, j = bad  # a row pass next would undo this; the column pass does not
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            u[i] = [x + y for x, y in zip(u[i], u[j])]
+        at = [list(col) for col in zip(*a)]
+        reference_hnf(at, vt)
+        a = [list(row) for row in zip(*at)]
+
+
+def oracle_matrices(max_side=8):
+    """Matrices up to max_side x max_side: empty, zero, one row, one column,
+    negative and large entries, sparse and dense."""
+    shaped = st.tuples(st.integers(0, max_side), st.integers(0, max_side)).flatmap(
+        lambda mn: st.lists(
+            st.lists(st.one_of(st.just(0), entries, st.integers(-10**6, 10**6)),
+                     min_size=mn[1], max_size=mn[1]),
+            min_size=mn[0], max_size=mn[0]))
+    zero = st.tuples(st.integers(1, max_side), st.integers(0, max_side)).map(
+        lambda mn: [[0] * mn[1] for _ in range(mn[0])])
+    one_row = st.lists(entries, min_size=1, max_size=max_side).map(lambda row: [row])
+    one_column = st.lists(entries, min_size=1, max_size=max_side).map(lambda col: [[x] for x in col])
+    return st.one_of(st.just([]), zero, one_row, one_column, shaped)
+
+
+@given(oracle_matrices())
+@settings(max_examples=400)
+def test_integer_loop_is_bit_identical_to_the_reference(mat):
+    assert row_hnf(mat) == reference_row_hnf(mat)
+    assert smith_normal_form(mat) == reference_smith_normal_form(mat)
+
+
+@given(oracle_matrices())
+@settings(max_examples=300)
+def test_span_is_the_nonzero_hermite_rows_with_their_pivots(mat):
+    span = gradings._span([list(row) for row in mat])
+    h = [row for row in row_hnf(mat)[0] if any(row)]
+    assert [row for _, row in span] == h
+    assert [c for c, _ in span] == [next(k for k, x in enumerate(row) if x) for row in h]
+    assert all(gradings._in_span(span, row) for row in mat)
+
+
+def test_snf_suite_matrices_are_bit_identical_to_the_reference():
+    """Criterion 10's own matrices, the transforms U and V as well as D."""
+    for mat in snf_suite_matrices():
+        assert smith_normal_form(mat) == reference_smith_normal_form(mat)
