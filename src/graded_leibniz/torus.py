@@ -1,4 +1,4 @@
-"""Automorphism families, maximal tori, and gradings induced by them.
+"""Automorphism families of nf and f1 and their maximal tori.
 
 The two families with a worked-out automorphism group are:
 
@@ -7,12 +7,14 @@ The two families with a worked-out automorphism group are:
   f1   f(e_1) = a_1 e_1 + a_n e_n, f(e_2) = sum_{k>=2} b_k e_k with
        a_1 b_2 != 0; the remaining images are bracket-generated.
 
-Their maximal tori are diagonal with entries following integer weight
-patterns: diag(alpha^1, ..., alpha^n) and diag(a, b, ab, ..., a^(n-2)b).
-Root-of-unity specializations of the torus parameters never appear as
-scalars; they are integer weight specializations into finite cyclic
-groups, so every toral grading is a homomorphic image of the weight
-lattice.
+Their maximal tori are diagonal.  The diagonal automorphisms form
+Hom(U, K^x), U the universal group of the grading by the standard basis
+(gradings.universal_grading), and U is free for nf and f1: Z with e_i of
+degree i, and Z^2 with e_1, e_2 and e_i (i >= 3) of degrees (1, 0),
+(0, 1) and (i - 2, 1).  So the torus is diag(prod_k t_k^(w_ik)) over
+t in (K^x)^r, w_i the degree of e_i: diag(alpha^1, ..., alpha^n) and
+diag(a, b, ab, ..., a^(n-2)b).  Every toral grading is a coarsening of
+the universal grading (gradings.coarsen).
 
 The normalizer check reads only the zero pattern of each family matrix
 M.  If M normalizes the torus, M T(t) M^-1 = T(sigma t) is diagonal, so
@@ -47,13 +49,14 @@ bijection, so f(e_d) lies in such a subspace S exactly when e_d does
 Every kernel comes from linalg.affine_solve, every echelon form from
 linalg.rref and the rank test from linalg.reduce_vector; the series
 comes from algebras, its terms already raw rows mod p.  Scalar matrices
-(the family formulas, torus_matrix, is_automorphism's argument) are read
-into raw values once, by linalg._values.
+(the family formulas, is_automorphism's argument) are read into raw
+values once, by linalg._values.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import NamedTuple
 
@@ -65,9 +68,8 @@ from .errors import (
     UnsupportedFamily,
     ZeroParameter,
 )
-from .fields import Field, Scalar
-from .gradings import Grading, _coarsenings, coarsen
-from .groups import AbelianGroup, GroupElem
+from .fields import Scalar
+from .gradings import universal_grading
 from .linalg import _values, affine_solve, reduce_vector, rref
 
 DEFAULT_BUDGET = 50_000_000
@@ -90,24 +92,10 @@ class AutParamsF1(NamedTuple):
     b: tuple[Scalar, ...]
 
 
-class WeightSystem(NamedTuple):
-    """Integer weights of the torus action on each basis vector."""
-
-    torus_rank: int
-    weights: tuple[tuple[int, ...], ...]
-
-
-class Specialization(NamedTuple):
-    """Images of the torus character generators in a target group."""
-
-    target: AbelianGroup
-    images: tuple[GroupElem, ...]
-
-
 def family_counts(family: str, n: int, p: int) -> tuple[int, int]:
     """(|Aut|, |torus|) over F_p: (p-1)^r p^(n-1) and (p-1)^r with torus rank r.
 
-    The ranks are written out, not read off weight_system, so the
+    The ranks are written out, not read off the universal grading, so the
     searches are checked against a formula they do not share.  f1 of
     dimension 2 is abelian, so its Aut is all of GL_2 and neither formula
     holds: the f1 family presupposes the chain relation of dimension >= 3.
@@ -119,15 +107,6 @@ def family_counts(family: str, n: int, p: int) -> tuple[int, int]:
         raise DimensionTooSmall(f"the f1 automorphism family needs dimension >= 3, got {n}")
     torus = (p - 1) ** ranks[family]
     return torus * p ** (n - 1), torus
-
-
-def weight_system(family: str, n: int) -> WeightSystem:
-    if family == "nf":
-        return WeightSystem(1, tuple((i,) for i in range(1, n + 1)))
-    if family == "f1":
-        weights = [(1, 0), (0, 1)] + [(i - 2, 1) for i in range(3, n + 1)]
-        return WeightSystem(2, tuple(weights))
-    raise UnsupportedFamily(f"no torus weight system for family {family!r}")
 
 
 # -- parametrized automorphisms -------------------------------------------
@@ -188,24 +167,6 @@ def is_automorphism(alg: Algebra, m: list[list[Scalar]]) -> bool:
         if [x if p is None else x % p for x in image] != alg.raw_product(cols[i - 1], cols[j - 1]):
             return False
     return True
-
-
-def torus_matrix(field: Field, ws: WeightSystem, params: tuple[Scalar, ...]) -> list[list[Scalar]]:
-    """diag with entry i the weight monomial in the torus parameters."""
-    if len(params) != ws.torus_rank:
-        raise ValueError(f"expected {ws.torus_rank} torus parameters")
-    for s in params:
-        if not s:
-            raise ZeroParameter("torus parameters must be invertible")
-    n = len(ws.weights)
-    zero = field.zero()
-    m = [[zero] * n for _ in range(n)]
-    for i, w in enumerate(ws.weights):
-        entry = field.one()
-        for s, e in zip(params, w):
-            entry = entry * s**e
-        m[i][i] = entry
-    return m
 
 
 # -- exhaustive automorphism search ---------------------------------------
@@ -648,12 +609,24 @@ def _keeps_torus_diagonal(m, weights) -> bool:
     return all(_row_keeps_torus_diagonal(row, weights) for row in m)
 
 
+def _torus_points(weights, p: int) -> set[tuple[tuple[int, ...], ...]]:
+    """The torus over F_p as int row tuples: diag(prod_k t_k^(w_ik)) for every
+    t in (F_p^x)^r, w_i the weight of e_i and r its length."""
+    n = len(weights)
+    points = set()
+    for t in itertools.product(range(1, p), repeat=len(weights[0])):
+        diagonal = [math.prod(pow(s, e, p) for s, e in zip(t, w)) % p for w in weights]
+        points.add(tuple(tuple(x if i == j else 0 for j in range(n)) for i, x in enumerate(diagonal)))
+    return points
+
+
 def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> NormalizerReport:
     """Machine check that the torus is its own normalizer.
 
     The family matrices over F_p passing _keeps_torus_diagonal include
     N(T) within the family (see module docstring), and T lies in N(T); so
     equality of that set with the torus point set shows N(T) = T there.
+    Both read the weights off universal_grading(alg): the degrees of e_i.
     The test is row by row, so _family_param_space walks each leading
     value's affine span with it and cuts a subtree at the first final row
     that fails: only that set is built, not the whole family.  The budget
@@ -674,44 +647,12 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     if leading > budget:
         raise BudgetExceeded(leading, budget)
     start = time.monotonic()
-    ws = weight_system(alg.label, n)
+    weights = [d.coords for d in universal_grading(alg)[1].degrees]
 
     calls: list[int] = []
     normalizer = _family_param_space(
-        alg, lambda r, row: _row_keeps_torus_diagonal(row, ws.weights), calls, budget)
-
-    torus = {tuple(map(tuple, _values(torus_matrix(alg.field, ws, params), alg.field)))
-             for params in itertools.product(alg.field.units(), repeat=ws.torus_rank)}
+        alg, lambda r, row: _row_keeps_torus_diagonal(row, weights), calls, budget)
+    torus = _torus_points(weights, p)
 
     elapsed = int((time.monotonic() - start) * 1000)
     return NormalizerReport(normalizer == torus, len(normalizer), len(torus), elapsed, sum(calls))
-
-
-# -- toral gradings --------------------------------------------------------
-
-
-def _weight_grading(alg: Algebra, ws: WeightSystem) -> Grading:
-    """The grading by the weight lattice Z^r: degree(e_i) = weight(e_i)."""
-    lattice = AbelianGroup(free_rank=ws.torus_rank)
-    return Grading(alg, lattice, tuple(lattice.element(w) for w in ws.weights))
-
-
-def toral_grading(alg: Algebra, ws: WeightSystem, spec: Specialization) -> Grading:
-    """Grading with degree(e_i) = weight(e_i) applied to the images.
-
-    Weight additivity over nonzero products makes the result a valid
-    grading for every specialization.  A wrong number of images raises
-    InconsistentHomomorphism, a ValueError.
-    """
-    return coarsen(_weight_grading(alg, ws), spec.target, spec.images)
-
-
-def enumerate_toral_gradings(alg: Algebra, ws: WeightSystem, group_menu) -> list[Grading]:
-    """All toral gradings into the menu groups, up to equivalence.
-
-    Sweeps every homomorphism from the weight lattice into each menu
-    group, with free generator images bounded by the dimension (larger
-    images only relabel supports).  One representative per induced
-    partition is kept; output order is deterministic.
-    """
-    return _coarsenings(_weight_grading(alg, ws), group_menu)

@@ -27,7 +27,6 @@ from graded_leibniz import (
     compare,
     default_group_menu,
     enumerate_h1_gradings,
-    enumerate_toral_gradings,
     equivalent,
     factor_through_universal,
     homogeneous_partitions,
@@ -36,7 +35,6 @@ from graded_leibniz import (
     trivial_grading,
     universal_grading,
     verify_grading,
-    weight_system,
 )
 from graded_leibniz import gradings as gradings_module
 from graded_leibniz.catalog import FAMILY_HYPOTHESIS
@@ -393,18 +391,6 @@ def test_h1_enumeration_matches_reference_loop(family, sizes):
         menu = default_group_menu(n)
         found = enumerate_h1_gradings(alg, FAMILY_HYPOTHESIS[family], menu)
         assert as_json(found) == as_json(reference_coarsenings(universal_grading(alg)[1], menu, n))
-
-
-@pytest.mark.parametrize("family, sizes", [("nf", range(2, 10)), ("f1", range(3, 7))])
-def test_toral_enumeration_matches_reference_loop(family, sizes):
-    for n in sizes:
-        alg = make_family(family, n)
-        ws = weight_system(family, n)
-        lattice = AbelianGroup(ws.torus_rank)
-        base = Grading(alg, lattice, tuple(lattice.element(w) for w in ws.weights))
-        menu = default_group_menu(n)
-        found = enumerate_toral_gradings(alg, ws, menu)
-        assert as_json(found) == as_json(reference_coarsenings(base, menu, n))
 
 
 #: the sweep's modular column arithmetic on torsion targets, products of

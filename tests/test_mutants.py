@@ -10,8 +10,8 @@ turns the xfail into an error until the mark is removed.
 
 import pytest
 
-from graded_leibniz import gradings, verification
-from graded_leibniz.gradings import GradingReport
+from graded_leibniz import gradings, torus, verification
+from graded_leibniz.gradings import Grading, GradingReport
 from graded_leibniz.verification import all_claim_thunks
 
 
@@ -19,6 +19,15 @@ def failed_claims(criteria):
     """(criterion, claim, family, dim) of each failing claim of `criteria`."""
     claims = [thunk() for thunk in all_claim_thunks() if thunk.criterion in criteria]
     return {(c.criterion, c.name, c.family, c.dim) for c in claims if not c.passed}
+
+
+def doubled_degrees(orig):
+    """universal_grading with every degree doubled: still a grading, but one
+    whose degrees span only 2U."""
+    def mutant(algebra, *args):
+        group, grading = orig(algebra, *args)
+        return group, Grading(grading.algebra, group, [2 * d for d in grading.degrees])
+    return mutant
 
 
 #: module, attribute, replacement given the original, criteria to run, a claim
@@ -41,11 +50,19 @@ MUTANTS = [
                  {7}, (7, "enumeration-vs-catalog", "nf", 4), id="equivalent-always-true"),
     pytest.param(verification, "equivalent", lambda orig: lambda g1, g2: g1.degrees == g2.degrees,
                  {7}, (7, "enumeration-vs-catalog", "f1", 5), id="equivalent-compares-degrees"),
+    # the torus read off doubled degrees is the squares of the real one:
+    # over F5, diag(t^2, t^4, t^6) takes 2 values where the normalizer has 4
+    pytest.param(torus, "universal_grading", doubled_degrees,
+                 {5}, (5, "normalizer-equals-torus", "nf", 3), id="torus-weights-doubled"),
+    pytest.param(verification, "universal_grading", doubled_degrees,
+                 {6}, (6, "toral-table-generic-order", "nf", 3), id="toral-base-doubled"),
+    pytest.param(verification, "lift_direct_sum_gradings", lambda orig: lambda grading, summand: [],
+                 {8}, (8, "direct-sum-lift", "f2", 4), id="lift_direct_sum_gradings-empty"),
 ]
 
 
 def test_named_criteria_pass_unmutated():
-    assert failed_claims({1, 7, 10}) == set()
+    assert failed_claims({1, 5, 6, 7, 8, 10}) == set()
 
 
 @pytest.mark.parametrize("module, name, replace, criteria, claim", MUTANTS)

@@ -17,22 +17,19 @@ from graded_leibniz import (
     Field,
     FieldMismatch,
     QQ,
-    Specialization,
     UnsupportedFamily,
     ZeroParameter,
     aut_matrix_f1,
     aut_matrix_nf,
     brute_force_aut,
+    coarsen,
     default_group_menu,
     enumerate_h1_gradings,
-    enumerate_toral_gradings,
     is_automorphism,
     make_family,
     normalizer_equals_torus,
-    toral_grading,
-    torus_matrix,
+    universal_grading,
     verify_grading,
-    weight_system,
 )
 from graded_leibniz.linalg import raw_inverse, rref
 from graded_leibniz.snf import det_int, int_mat_mul
@@ -43,6 +40,7 @@ from graded_leibniz.torus import (
     _family_param_space,
     _keeps_torus_diagonal,
     _row_keeps_torus_diagonal,
+    _torus_points,
     family_counts,
 )
 
@@ -58,24 +56,12 @@ def scal(field, rows):
     return [[field.scalar(x) for x in row] for row in rows]
 
 
-# -- weight systems ---------------------------------------------------------
+# -- torus weights ------------------------------------------------------------
 
 
-def test_weight_system_nf():
-    ws = weight_system("nf", 4)
-    assert ws.torus_rank == 1
-    assert ws.weights == ((1,), (2,), (3,), (4,))
-
-
-def test_weight_system_f1():
-    ws = weight_system("f1", 5)
-    assert ws.torus_rank == 2
-    assert ws.weights == ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1))
-
-
-def test_weight_system_unsupported():
-    with pytest.raises(UnsupportedFamily):
-        weight_system("f2", 4)
+def torus_weights(alg):
+    """The torus weights: the degrees of the universal grading, as int tuples."""
+    return tuple(d.coords for d in universal_grading(alg)[1].degrees)
 
 
 def test_weights_are_additive_on_products():
@@ -83,13 +69,11 @@ def test_weights_are_additive_on_products():
     for family in ("nf", "f1"):
         for n in range(2 if family == "nf" else 3, 9):
             alg = make_family(family, n)
-            ws = weight_system(family, n)
+            weights = torus_weights(alg)
             for (i, j), terms in alg.sc.items():
                 for k, _ in terms:
-                    summed = tuple(
-                        a + b for a, b in zip(ws.weights[i - 1], ws.weights[j - 1])
-                    )
-                    assert summed == ws.weights[k - 1]
+                    summed = tuple(a + b for a, b in zip(weights[i - 1], weights[j - 1]))
+                    assert summed == weights[k - 1]
 
 
 # -- parametrized automorphism matrices --------------------------------------
@@ -270,33 +254,34 @@ def test_is_automorphism_rejects_mixed_fields(case, data):
     is_automorphism(alg, m)
 
 
-def test_torus_matrix_nf():
-    ws = weight_system("nf", 3)
-    t = torus_matrix(QQ, ws, (QQ.scalar(3),))
-    assert values(t) == [[3, 0, 0], [0, 9, 0], [0, 0, 27]]
-    with pytest.raises(ZeroParameter):
-        torus_matrix(QQ, ws, (QQ.zero(),))
-    with pytest.raises(ValueError):
-        torus_matrix(QQ, ws, (QQ.one(), QQ.one()))
+def test_torus_points_nf():
+    # over F_31 the point t = 3 is diag(3, 9, 27), as over Q
+    points = _torus_points(torus_weights(make_family("nf", 3, Field(31))), 31)
+    assert ((3, 0, 0), (0, 9, 0), (0, 0, 27)) in points
+    assert len(points) == 30
 
 
-def test_torus_matrix_f1():
-    ws = weight_system("f1", 4)
-    t = torus_matrix(QQ, ws, (QQ.scalar(2), QQ.scalar(3)))
-    assert values(t) == [
-        [2, 0, 0, 0],
-        [0, 3, 0, 0],
-        [0, 0, 6, 0],
-        [0, 0, 0, 12],
-    ]
+def test_torus_points_f1():
+    # over F_13 the point (a, b) = (2, 3) is diag(2, 3, 6, 12), as over Q
+    points = _torus_points(torus_weights(make_family("f1", 4, Field(13))), 13)
+    assert ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 6, 0), (0, 0, 0, 12)) in points
+    assert len(points) == 12 * 12
 
 
-def test_torus_matrices_are_automorphisms():
-    for family, n in (("nf", 5), ("f1", 5)):
-        alg = make_family(family, n, F5)
-        ws = weight_system(family, n)
-        for params in itertools.product(F5.units(), repeat=ws.torus_rank):
-            assert is_automorphism(alg, torus_matrix(F5, ws, params))
+@pytest.mark.parametrize(
+    "family,n,p",
+    [("nf", n, p) for n in range(2, 6) for p in (2, 3, 5)]
+    + [("f1", n, p) for n in range(3, 6) for p in (2, 3, 5)],
+)
+def test_torus_points_are_the_diagonal_automorphisms(family, n, p):
+    # every unit diagonal matrix, at most 4^5 = 1,024 of them
+    alg = make_family(family, n, Field(p))
+    diagonal_auts = set()
+    for diagonal in itertools.product(range(1, p), repeat=n):
+        m = tuple(tuple(x if i == j else 0 for j in range(n)) for i, x in enumerate(diagonal))
+        if is_automorphism(alg, scal(alg.field, m)):
+            diagonal_auts.add(m)
+    assert diagonal_auts == _torus_points(torus_weights(alg), p)
 
 
 # -- the family's matrix set --------------------------------------------------
@@ -339,7 +324,7 @@ def test_family_space_matches_reference_loop(family, n, p):
 )
 def test_pruned_family_space_is_the_filtered_family_space(family, n, p):
     alg = make_family(family, n, Field(p))
-    weights = weight_system(family, n).weights
+    weights = torus_weights(alg)
     calls = []
     pruned = _family_param_space(alg, lambda r, row: _row_keeps_torus_diagonal(row, weights), calls)
     full = _family_param_space(alg)
@@ -791,7 +776,7 @@ def test_zero_pattern_rejects_f1_matrix_with_nonzero_an():
     n = 5
     one, zero = F5.one(), F5.zero()
     m = aut_matrix_f1(n, AutParamsF1(one, one, (one,) + (zero,) * (n - 2)))
-    assert not _keeps_torus_diagonal(values(m), weight_system("f1", n).weights)
+    assert not _keeps_torus_diagonal(values(m), torus_weights(make_family("f1", n, F5)))
 
 
 @st.composite
@@ -859,57 +844,47 @@ def test_normalizer_budget_counts_walk_calls():
 # -- toral gradings -----------------------------------------------------------
 
 
-def test_toral_grading_nf_parity():
-    alg = make_family("nf", 4)
-    ws = weight_system("nf", 4)
+def toral_coarsening(alg, group, image_coords):
+    """The universal grading of alg coarsened along the generator images."""
+    return coarsen(universal_grading(alg)[1], group, [group.element(c) for c in image_coords])
+
+
+def test_toral_coarsening_nf_parity():
     z2 = AbelianGroup(0, (2,))
-    g = toral_grading(alg, ws, Specialization(z2, (z2.element((1,)),)))
+    g = toral_coarsening(make_family("nf", 4), z2, ((1,),))
     assert [d.coords[0] for d in g.degrees] == [1, 0, 1, 0]
     assert verify_grading(g).ok
 
 
-def test_toral_grading_nf_order_three():
-    alg = make_family("nf", 5)
-    ws = weight_system("nf", 5)
+def test_toral_coarsening_nf_order_three():
     z3 = AbelianGroup(0, (3,))
-    g = toral_grading(alg, ws, Specialization(z3, (z3.element((1,)),)))
+    g = toral_coarsening(make_family("nf", 5), z3, ((1,),))
     assert [d.coords[0] for d in g.degrees] == [1, 2, 0, 1, 2]
     assert verify_grading(g).ok
 
 
-def test_toral_grading_f1_generator_split():
-    alg = make_family("f1", 4)
-    ws = weight_system("f1", 4)
+def test_toral_coarsening_f1_generator_split():
     z2 = AbelianGroup(0, (2,))
-    g = toral_grading(
-        alg, ws, Specialization(z2, (z2.element((0,)), z2.element((1,))))
-    )
+    g = toral_coarsening(make_family("f1", 4), z2, ((0,), (1,)))
     assert [d.coords[0] for d in g.degrees] == [0, 1, 1, 1]
     assert verify_grading(g).ok
 
 
-def test_toral_grading_param_count_guard():
-    alg = make_family("f1", 4)
-    ws = weight_system("f1", 4)
-    z = AbelianGroup(1)
+def test_toral_coarsening_image_count_guard():
+    # f1's universal group is Z^2, so one generator image is too few
     with pytest.raises(ValueError):
-        toral_grading(alg, ws, Specialization(z, (z.element((1,)),)))
+        toral_coarsening(make_family("f1", 4), AbelianGroup(1), ((1,),))
 
 
 @given(st.integers(min_value=3, max_value=7), st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=5))
 @settings(max_examples=50)
 def test_random_toral_specializations_verify(n, order, image):
-    alg = make_family("nf", n)
-    ws = weight_system("nf", n)
-    zi = AbelianGroup(0, (order,))
-    g = toral_grading(alg, ws, Specialization(zi, (zi.element((image,)),)))
+    g = toral_coarsening(make_family("nf", n), AbelianGroup(0, (order,)), ((image,),))
     assert verify_grading(g).ok
 
 
-def test_enumerate_toral_gradings_nf5_spec_menu():
-    alg = make_family("nf", 5)
-    ws = weight_system("nf", 5)
-    found = enumerate_toral_gradings(alg, ws, default_group_menu(5))
+def test_h1_enumeration_nf5_spec_menu():
+    found = enumerate_h1_gradings(make_family("nf", 5), "e1_homog", default_group_menu(5))
     assert len(found) == 5
     partitions = {g.partition() for g in found}
     assert ((1, 2, 3, 4, 5),) in partitions  # trivial
@@ -917,17 +892,3 @@ def test_enumerate_toral_gradings_nf5_spec_menu():
     assert ((1, 3, 5), (2, 4)) in partitions  # order 2
     assert ((1, 4), (2, 5), (3,)) in partitions  # order 3
     assert ((1, 5), (2,), (3,), (4,)) in partitions  # order 4
-
-
-def test_toral_enumeration_agrees_with_hom_enumeration():
-    """Torus weights and universal degrees coincide for these families, so
-    the two enumerators must give equal classes.  Their base gradings (the
-    weight lattice and the universal grading) are built independently; the
-    sweep over homomorphisms that coarsens them is shared."""
-    for family, lo, hi, hyp in (("nf", 2, 6, "e1_homog"), ("f1", 3, 5, "e1_e2_homog")):
-        for n in range(lo, hi + 1):
-            alg = make_family(family, n)
-            menu = default_group_menu(n)
-            toral = enumerate_toral_gradings(alg, weight_system(family, n), menu)
-            homs = enumerate_h1_gradings(alg, hyp, menu)
-            assert {g.partition() for g in toral} == {g.partition() for g in homs}
