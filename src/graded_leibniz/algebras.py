@@ -28,12 +28,11 @@ from .errors import (
     DimensionTooSmall,
     FieldMismatch,
     GradedLeibnizError,
-    NotNilpotent,
     QnOddDimension,
     UnsupportedFamily,
 )
 from .fields import QQ, Field, Scalar
-from .linalg import Subspace, affine_solve, raw_inverse
+from .linalg import Subspace, affine_solve
 
 FAMILIES = ("nf", "f1", "f2", "lie_l", "lie_q")
 
@@ -323,53 +322,3 @@ def right_annihilator(alg: Algebra) -> Subspace:
 def center(alg: Algebra) -> Subspace:
     """{x : [x, y] = [y, x] = 0 for all y}."""
     return _bracket_kernel(alg, both_sides=True)
-
-
-def associated_graded(alg: Algebra):
-    """The graded algebra of the lower central filtration.
-
-    Returns (graded algebra, grading) where the new basis is adapted to
-    the filtration (block t spans L^t mod L^{t+1}) and the grading puts
-    block t in degree t of Z.  Raises NotNilpotent otherwise.
-    """
-    from .gradings import Grading
-    from .groups import AbelianGroup
-
-    series = lower_central_series(alg)
-    if series[-1].dim != 0:
-        raise NotNilpotent("the lower central series does not reach zero")
-    blocks: list[list[list]] = []
-    for t in range(len(series) - 1):
-        blocks.append(series[t + 1].basis_complement_in(series[t]))
-    new_basis = [v for block in blocks for v in block]
-    degree_of_index: list[int] = []
-    for t, block in enumerate(blocks, start=1):
-        degree_of_index += [t] * len(block)
-
-    # Coordinates in the adapted basis: solve c @ P = w for each product,
-    # where the columns of P are the new basis vectors.
-    p = alg.field.p
-    p_inv = raw_inverse([list(col) for col in zip(*new_basis)], p)
-    if p_inv is None:
-        raise RuntimeError("adapted basis failed to be invertible")
-
-    n = alg.dim
-    sc: dict[tuple[int, int], list[tuple[int, Fraction | int]]] = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            w = alg.raw_product(new_basis[a - 1], new_basis[b - 1])
-            coords = [sum(x * y for x, y in zip(row, w)) for row in p_inv]
-            if p is not None:
-                coords = [c % p for c in coords]
-            target = degree_of_index[a - 1] + degree_of_index[b - 1]
-            terms = [
-                (k, coords[k - 1])
-                for k in range(1, n + 1)
-                if coords[k - 1] and degree_of_index[k - 1] == target
-            ]
-            if terms:
-                sc[(a, b)] = terms
-    graded = Algebra(n, alg.field, sc, label="custom")
-    z_group = AbelianGroup(free_rank=1)
-    grading = Grading(graded, z_group, tuple(z_group.element((t,)) for t in degree_of_index))
-    return graded, grading

@@ -25,10 +25,6 @@ class QnOddDimension(GradedLeibnizError, ValueError):
     """Raised when the even-dimensional Lie family is requested with odd dimension."""
 
 
-class NotNilpotent(GradedLeibnizError, ValueError):
-    """Raised when an operation that needs a nilpotent algebra receives one that is not."""
-
-
 class GroupMismatch(GradedLeibnizError, TypeError):
     """Raised when group elements from different abelian groups are combined."""
 

@@ -1,10 +1,9 @@
 """Abelian group gradings of structure-constant algebras.
 
 A grading assigns a degree (group element) to each basis vector such
-that every nonzero product lands in the component of the summed degree.
-Two forms are supported: the degree-map form (every standard basis
-vector homogeneous) and a subspace form for gradings obtained by a
-change of basis.
+that every nonzero product lands in the component of the summed degree:
+every standard basis vector is homogeneous, as in the paper's
+classification, so a grading is a degree map on basis indices.
 
 The central construction is the universal grading of a set partition of
 the basis: the finest abelian group receiving a degree map with the
@@ -24,7 +23,6 @@ from typing import NamedTuple
 from .algebras import Algebra
 from .errors import DifferentAlgebras, GroupMismatch, UnsupportedFamily
 from .groups import AbelianGroup, GroupElem, all_homs, apply_hom, validate_hom
-from .linalg import Subspace, _values, rref
 from .snf import _hnf, diagonal_of, int_mat_mul, int_matrix_inverse, row_hnf, smith_normal_form
 
 
@@ -117,52 +115,16 @@ def trivial_grading(algebra: Algebra) -> Grading:
     return Grading(algebra, g, (g.zero(),) * algebra.dim)
 
 
-class SubspaceGrading:
-    """A grading whose components are subspaces, not spans of basis vectors.
-
-    Produced by transporting a homogeneous-basis grading along an
-    automorphism.  Components must carry distinct degrees and form a
-    direct-sum decomposition of the ambient space.
-    """
-
-    __slots__ = ("algebra", "group", "components")
-
-    def __init__(self, algebra: Algebra, group: AbelianGroup, components):
-        components = tuple(components)
-        degrees = [d for d, _ in components]
-        if len(set(degrees)) != len(degrees):
-            raise ValueError("components must carry distinct degrees")
-        total = 0
-        stacked: list = []
-        for d, space in components:
-            if not isinstance(d, GroupElem) or d.group != group:
-                raise GroupMismatch("degree lies in the wrong group")
-            if space.ambient_dim != algebra.dim or space.field != algebra.field:
-                raise ValueError("component subspace has the wrong ambient space")
-            total += space.dim
-            stacked.extend(space.rows)
-        if total != algebra.dim or len(rref(stacked, algebra.field.p)[0]) != algebra.dim:
-            raise ValueError("components do not decompose the space")
-        self.algebra = algebra
-        self.group = group
-        self.components = components
-
-    def __repr__(self):
-        return f"SubspaceGrading({self.group.describe()}, {len(self.components)} components)"
-
-
 class GradingReport(NamedTuple):
-    """first_violation is a basis triple (i, j, k) for the degree-map
-    form, or a pair of component degrees for the subspace form."""
+    """first_violation is the first basis triple (i, j, k), in order of
+    (i, j), with e_k in [e_i, e_j] but deg e_k != deg e_i + deg e_j."""
 
     ok: bool
-    first_violation: tuple | None = None
+    first_violation: tuple[int, int, int] | None = None
 
 
-def verify_grading(grading) -> GradingReport:
+def verify_grading(grading: Grading) -> GradingReport:
     """Check closure: each product lands in the summed-degree component."""
-    if isinstance(grading, SubspaceGrading):
-        return _verify_subspace_grading(grading)
     alg = grading.algebra
     for (i, j) in sorted(alg.sc):
         s = grading.degree(i) + grading.degree(j)
@@ -170,41 +132,6 @@ def verify_grading(grading) -> GradingReport:
             if grading.degree(k) != s:
                 return GradingReport(False, (i, j, k))
     return GradingReport(True, None)
-
-
-def _verify_subspace_grading(grading: SubspaceGrading) -> GradingReport:
-    alg = grading.algebra
-    spaces = {d: space for d, space in grading.components}
-    for g, left in grading.components:
-        for h, right in grading.components:
-            target = spaces.get(g + h)
-            for v in left.rows:
-                for w in right.rows:
-                    p = alg.raw_product(v, w)
-                    if not any(p):
-                        continue
-                    if target is None or not target.contains(p):
-                        return GradingReport(False, (g, h))
-    return GradingReport(True, None)
-
-
-def transport(grading: Grading, matrix) -> SubspaceGrading:
-    """Push a grading forward along an invertible linear map.
-
-    Column i of `matrix` (n x n, Scalars of the algebra's field) is the
-    image of e_i; the component of degree g becomes the span of the
-    images of its basis vectors.
-    """
-    alg = grading.algebra
-    n = alg.dim
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError(f"transport needs a {n}x{n} matrix")
-    m = _values(matrix, alg.field)
-    comps = []
-    for d, ids in grading.components():
-        vectors = [[m[r][i - 1] for r in range(n)] for i in ids]
-        comps.append((d, Subspace(alg.field, n, vectors)))
-    return SubspaceGrading(alg, grading.group, comps)
 
 
 # -- universal gradings ---------------------------------------------------

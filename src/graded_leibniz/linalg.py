@@ -3,17 +3,19 @@
 Matrices are lists of row vectors of raw values: ints and Fractions over
 Q, ints in [0, p) over F_p.  Every elimination runs through one loop,
 `reduce_vector`, which reduces one vector against echelon rows built so
-far and can extend them by it (the automorphism walk's rank test,
-Subspace membership and complements).  Over F_p an echelon row is 1 at
-its pivot; over Q its pivot entry need not be 1.  `rref` reduces a whole
-matrix on it: for Subspace, affine_solve, raw_inverse, SubspaceGrading,
-is_automorphism and the torus searches' systems (integer matrices are
-inverted in snf, on its Hermite loop).  Over Q it is fraction-free: it
-eliminates on integer rows divided by their content and builds Fractions
-only for the rows it returns.  Subspaces hold their reduced row echelon basis as raw
-rows (Fractions over Q, 1 at each pivot), so subspace equality is plain
-row comparison.  Scalars appear only in `_values`, which checks a Scalar
-matrix's field and reads off its raw values.
+far and can extend them by it (the automorphism walk's rank test and
+Subspace membership).  Over F_p an echelon row is 1 at its pivot; over Q
+its pivot entry need not be 1.  `rref` reduces a whole matrix on it: for
+Subspace, affine_solve, is_automorphism and the torus searches' systems
+(integer matrices are inverted in snf, on its Hermite loop).  Over Q it
+is fraction-free: it eliminates on integer rows divided by their content
+and builds Fractions only for the rows it returns.  Subspaces hold their
+reduced row echelon basis as raw rows (Fractions over Q, 1 at each
+pivot), so subspace equality is plain row comparison.  Scalars appear
+only in `_values`, which checks a Scalar matrix's field and reads off its
+raw values.  No library code calls `raw_inverse`: it is the tests'
+reference inverse, for snf's integer inverse and the torus zero-pattern
+checks.
 """
 
 from __future__ import annotations
@@ -135,7 +137,11 @@ def affine_solve(rows: list[list], ncols: int,
 
 def raw_inverse(m: list[list], p: int | None = None) -> list[list] | None:
     """Inverse of a square matrix of raw values (see rref), or None when
-    singular; ValueError when the matrix is not square."""
+    singular; ValueError when the matrix is not square.
+
+    No library code calls it: it is the tests' reference inverse, which
+    snf.int_matrix_inverse must agree with and the torus zero-pattern
+    checks conjugate by."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
@@ -214,12 +220,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return not self.rows
-
-    def basis_complement_in(self, larger: "Subspace") -> list[list]:
-        """Rows of `larger` extending this subspace's basis (representatives mod self)."""
-        rows, pivots = list(self.rows), list(self.pivots)
-        return [v for v in larger.rows
-                if any(reduce_vector(rows, pivots, v, self.field.p, extend=True))]
 
     @staticmethod
     def full(field: Field, n: int) -> "Subspace":

@@ -13,13 +13,11 @@ from graded_leibniz import (
     FAMILIES,
     Field,
     FieldMismatch,
-    NotNilpotent,
     QQ,
     QnOddDimension,
     UnsupportedFamily,
     LeibnizReport,
     abelian_algebra,
-    associated_graded,
     center,
     check_leibniz,
     direct_sum,
@@ -28,7 +26,6 @@ from graded_leibniz import (
     make_family,
     nilpotency_profile,
     right_annihilator,
-    verify_grading,
 )
 from graded_leibniz.algebras import _is_zero_sum
 from graded_leibniz.fields import Scalar
@@ -244,30 +241,6 @@ def test_algebra_refuses_non_integer_dim_and_indices():
 def test_structure_constants_cancel():
     alg = Algebra(2, QQ, {(1, 1): [(2, 1), (2, -1)]})
     assert alg.bracket_basis(1, 1) == ()
-
-
-def test_associated_graded_reproduces_graded_families():
-    # these families have a filtration-adapted basis in the original order
-    for family in ("nf", "f1", "lie_l"):
-        alg = make_family(family, 5)
-        graded, grading = associated_graded(alg)
-        assert graded.same_structure(alg)
-        assert verify_grading(grading).ok
-        assert check_leibniz(graded).ok
-
-
-def test_associated_graded_f2_reorders_tail():
-    # e_5 is central and sits in L^1 \ L^2, so it joins e_1 in degree 1
-    graded, grading = associated_graded(make_family("f2", 5))
-    assert verify_grading(grading).ok
-    assert check_leibniz(graded).ok
-    assert [d.coords[0] for d in grading.degrees] == [1, 1, 2, 3, 4]
-    assert not graded.same_structure(make_family("f2", 5))
-
-
-def test_associated_graded_rejects_non_nilpotent():
-    with pytest.raises(NotNilpotent):
-        associated_graded(Algebra(2, QQ, {(1, 2): [(1, 1)]}))
 
 
 @st.composite

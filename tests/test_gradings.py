@@ -1,4 +1,4 @@
-"""Gradings: verification, universal construction, coarsening, transport."""
+"""Gradings: verification, universal construction, coarsening, equivalence."""
 
 import hashlib
 import json
@@ -15,8 +15,6 @@ from graded_leibniz import (
     AbelianGroup,
     Algebra,
     DifferentAlgebras,
-    Field,
-    FieldMismatch,
     Grading,
     GroupMismatch,
     QQ,
@@ -31,7 +29,6 @@ from graded_leibniz import (
     factor_through_universal,
     homogeneous_partitions,
     make_family,
-    transport,
     trivial_grading,
     universal_grading,
     verify_grading,
@@ -39,12 +36,10 @@ from graded_leibniz import (
 from graded_leibniz import gradings as gradings_module
 from graded_leibniz.catalog import FAMILY_HYPOTHESIS
 from graded_leibniz.gradings import (
-    SubspaceGrading,
     _blocks,
     _coarsenings,
     universal_grading_with_generators,
 )
-from graded_leibniz.torus import AutParamsNF, aut_matrix_nf
 
 Z = AbelianGroup(1)
 
@@ -297,60 +292,6 @@ def test_factor_through_universal_random_coarsenings():
         g = coarsen(base, target, [target.element(image_coords)])
         _, _, images = factor_through_universal(g)
         assert coarsen(factor_through_universal(g)[1], target, images) == g
-
-
-def test_transport_by_automorphism_verifies():
-    alg = make_family("nf", 4, Field(5))
-    _, base = universal_grading(alg)
-    f5 = Field(5)
-    m = aut_matrix_nf(4, AutParamsNF(f5.scalar(2), (f5.scalar(1), f5.scalar(0), f5.scalar(3))))
-    moved = transport(base, m)
-    assert isinstance(moved, SubspaceGrading)
-    assert verify_grading(moved).ok
-
-
-def test_transport_detects_broken_decomposition():
-    alg = make_family("nf", 3)
-    _, base = universal_grading(alg)
-    # non-invertible matrix: transported spans no longer decompose
-    singular = [[QQ.zero()] * 3 for _ in range(3)]
-    with pytest.raises(ValueError):
-        transport(base, singular)
-
-
-def test_transport_rejects_a_matrix_over_another_field():
-    # a Q matrix used to pass on an F5 grading: its subspaces were reduced
-    # over Q but labelled F5
-    _, base = universal_grading(make_family("nf", 3, Field(5)))
-    identity = [[QQ.scalar(int(i == j)) for j in range(3)] for i in range(3)]
-    with pytest.raises(FieldMismatch):
-        transport(base, identity)
-
-
-@pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2), (4, 4)])
-def test_transport_rejects_a_matrix_of_the_wrong_shape(rows, cols):
-    # short matrices used to raise a bare IndexError, and a larger one was
-    # silently cut down to its top left corner
-    _, base = universal_grading(make_family("nf", 3))
-    with pytest.raises(ValueError, match="3x3"):
-        transport(base, [[QQ.scalar(int(i == j)) for j in range(cols)] for i in range(rows)])
-
-
-def test_subspace_grading_closure_violation_witness():
-    alg = make_family("nf", 3, Field(5))
-    f5 = Field(5)
-    z2 = AbelianGroup(0, (2,))
-    from graded_leibniz.linalg import Subspace
-
-    comps = [
-        (z2.element((0,)), Subspace(f5, 3, [[1, 0, 0], [0, 0, 1]])),
-        (z2.element((1,)), Subspace(f5, 3, [[0, 1, 0]])),
-    ]
-    bad = SubspaceGrading(alg, z2, comps)
-    rep = verify_grading(bad)
-    assert not rep.ok
-    g, h = rep.first_violation
-    assert g.coords == (0,) and h.coords == (0,)  # [e1,e1]=e2 leaves degree 0
 
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=-5, max_value=5))

@@ -92,13 +92,6 @@ def test_subspace_rows_are_raw_values():
     assert t.contains([-1, 2]) and t.reduce([0, 7]) == [0, 2]
 
 
-def test_basis_complement():
-    small = Subspace(QQ, 3, [[1, 0, 0]])
-    ext = small.basis_complement_in(Subspace.full(QQ, 3))
-    assert len(ext) == 2
-    assert Subspace(QQ, 3, small.rows + ext).dim == 3
-
-
 def test_vector_length_mismatch_rejected():
     with pytest.raises(ValueError):
         Subspace(QQ, 3, [[1, 0]])
@@ -367,30 +360,6 @@ def test_reduce_vector_agrees_with_rref_rank_and_membership(case, p):
     assert rank(rows + [[x - y for x, y in zip(probe, residue)]], p) == len(rows)
     assert not any(residue[c] for c in pivots)
     assert len(rows) == len(pivots) == rank(vectors, p)  # no extend, no new row
-
-
-def reference_complement(small, large):
-    """The greedy definition: each row of large that raises the rank of
-    the rows kept so far, tested by one rref per row."""
-    p = small.field.p
-    stack, out = list(small.rows), []
-    for v in large.rows:
-        if len(rref(stack + [v], p)[0]) > len(stack):
-            stack.append(v)
-            out.append(v)
-    return out
-
-
-@given(vectors_and_probe(), st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
-                                     max_size=4), FIELDS)
-def test_basis_complement_matches_rref_per_row(case, more, p):
-    n, vectors, _ = case
-    field = QQ if p is None else Field(p)
-    small = Subspace(field, n, vectors)
-    large = Subspace(field, n, vectors + [v[:n] for v in more])
-    ext = small.basis_complement_in(large)
-    assert ext == reference_complement(small, large)
-    assert len(ext) == large.dim - small.dim
 
 
 # -- the affine solver ----------------------------------------------------------

@@ -3,9 +3,9 @@ claim of the verification suite must fail under it.
 
 Each test monkeypatches one mutant, runs only the criteria named for it and
 asserts that the named claim is among the failures.  A mutant that no claim
-kills stays in the table, marked xfail(strict=True), so that the run names it
-(`pytest tests/test_mutants.py -rxX`) and a claim that starts to kill it
-turns the xfail into an error until the mark is removed.
+kills stays in the table, marked xfail(strict=True), so that a run with
+`-rxX` names it and a claim that starts to kill it turns the xfail into an
+error until the mark is removed.
 """
 
 import pytest
@@ -16,9 +16,9 @@ from graded_leibniz.verification import all_claim_thunks
 
 
 def failed_claims(criteria):
-    """(criterion, claim, family, dim) of each failing claim of `criteria`."""
+    """(criterion, claim, family, dim, field) of each failing claim of `criteria`."""
     claims = [thunk() for thunk in all_claim_thunks() if thunk.criterion in criteria]
-    return {(c.criterion, c.name, c.family, c.dim) for c in claims if not c.passed}
+    return {(c.criterion, c.name, c.family, c.dim, c.field) for c in claims if not c.passed}
 
 
 def doubled_degrees(orig):
@@ -34,30 +34,30 @@ def doubled_degrees(orig):
 #: the mutant must fail
 MUTANTS = [
     pytest.param(verification, "is_antisymmetric", lambda orig: lambda alg: True,
-                 {1}, (1, "leibniz-identity", "nf", 4), id="is_antisymmetric-always-true"),
+                 {1}, (1, "leibniz-identity", "nf", 4, "Q"), id="is_antisymmetric-always-true"),
     pytest.param(verification, "verify_grading", lambda orig: lambda grading: GradingReport(True, None),
-                 {10}, (10, "coarsening-random-suite", None, None), id="verify_grading-always-ok"),
+                 {10}, (10, "coarsening-random-suite", None, None, None), id="verify_grading-always-ok"),
     # the closure's last row is the difference δ it adds; dropping it leaves
     # each closed set closed, so the search never leaves the empty set
     pytest.param(gradings, "_span", lambda orig: lambda rows: orig(rows[:-1]),
-                 {7}, (7, "enumeration-vs-catalog", "f1", 5), id="closure-skips-delta"),
+                 {7}, (7, "enumeration-vs-catalog", "f1", 5, "Q"), id="closure-skips-delta"),
     pytest.param(gradings, "_in_span", lambda orig: lambda hnf, v: False,
-                 {7}, (7, "enumeration-vs-catalog", "nf", 6), id="closure-membership-always-fails"),
+                 {7}, (7, "enumeration-vs-catalog", "nf", 6, "Q"), id="closure-membership-always-fails"),
     # criterion 7 holds equivalent to both sides: a constant True merges
     # neighbouring classes, and comparing degrees misses the f1 catalog
     # entries that grade by another group than their class's representative
     pytest.param(verification, "equivalent", lambda orig: lambda g1, g2: True,
-                 {7}, (7, "enumeration-vs-catalog", "nf", 4), id="equivalent-always-true"),
+                 {7}, (7, "enumeration-vs-catalog", "nf", 4, "Q"), id="equivalent-always-true"),
     pytest.param(verification, "equivalent", lambda orig: lambda g1, g2: g1.degrees == g2.degrees,
-                 {7}, (7, "enumeration-vs-catalog", "f1", 5), id="equivalent-compares-degrees"),
+                 {7}, (7, "enumeration-vs-catalog", "f1", 5, "Q"), id="equivalent-compares-degrees"),
     # the torus read off doubled degrees is the squares of the real one:
     # over F5, diag(t^2, t^4, t^6) takes 2 values where the normalizer has 4
     pytest.param(torus, "universal_grading", doubled_degrees,
-                 {5}, (5, "normalizer-equals-torus", "nf", 3), id="torus-weights-doubled"),
+                 {5}, (5, "normalizer-equals-torus", "nf", 3, "F5"), id="torus-weights-doubled"),
     pytest.param(verification, "universal_grading", doubled_degrees,
-                 {6}, (6, "toral-table-generic-order", "nf", 3), id="toral-base-doubled"),
+                 {6}, (6, "toral-table-generic-order", "nf", 3, "Q"), id="toral-base-doubled"),
     pytest.param(verification, "lift_direct_sum_gradings", lambda orig: lambda grading, summand: [],
-                 {8}, (8, "direct-sum-lift", "f2", 4), id="lift_direct_sum_gradings-empty"),
+                 {8}, (8, "direct-sum-lift", "f2", 4, "Q"), id="lift_direct_sum_gradings-empty"),
 ]
 
 

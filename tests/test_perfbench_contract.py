@@ -1,5 +1,7 @@
-"""What the benchmark reads of the package: the claim count and the traced names."""
+"""What the benchmark reads of the package: the claim count, the traced names
+and the layer order."""
 
+import ast
 import importlib
 import inspect
 from pathlib import Path
@@ -59,3 +61,24 @@ def test_predicted_span_functions_exist(monkeypatch):
                 and obj.__module__ == module.__name__), name
         covered.append(name)
     assert {"linalg.rref.calls", "snf.int_matrix_inverse.self_s"} <= set(covered)
+
+
+def test_intra_package_imports_point_down_the_layers(monkeypatch):
+    # spans.LAYERS lists the layers bottom-up: each module may import errors
+    # and the layers before it, inside functions too, and nothing above it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import LAYERS, PACKAGE
+
+    rank = {"errors": -1, **{layer: k for k, layer in enumerate(LAYERS)}}
+    source = Path(importlib.import_module(PACKAGE).__file__).parent
+    upward = []
+    for path in sorted(source.glob("*.py")):
+        module = path.stem
+        if module == "__init__":
+            continue
+        assert module in rank, f"{module} is no layer"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [(module, t) for t in targets if rank.get(t, len(rank)) >= rank[module]]
+    assert upward == []
