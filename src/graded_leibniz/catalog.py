@@ -23,9 +23,10 @@ enumeration sweeps the homomorphisms from the universal group into each
 menu group (`gradings._coarsenings`).  The sweep computes each image
 coordinate over all basis vectors at once, as an integer combination of
 the universal degrees' coordinate columns (reduced mod the invariant
-factor on a torsion coordinate), and keys the partition on the degrees'
-first-occurrence labels, building a grading only for the first
-homomorphism per partition.  The menu and the bound on free images make
+factor on a torsion coordinate) and labels it by first occurrence, once
+per modulus and images' coordinates in the call; it keys the partition on
+those labels, building a grading only for the first homomorphism per
+partition.  The menu and the bound on free images make
 the sweep exhaustive only for the groups it tries.
 
 Criterion 7 of the verification suite therefore takes its classes from

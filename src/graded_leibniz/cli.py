@@ -233,7 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
         _algebra_verb(verbs, name, run, helptext)
 
     sub = _algebra_verb(verbs, "gradings", _cmd_gradings, "enumerate gradings up to equivalence")
-    sub.add_argument("--group", help='target group: "trivial", "Z", "Z<i>", "ZxZ<i>"')
+    sub.add_argument("--group", help=(
+        'one target group instead of the default menu: "trivial", or factors joined '
+        'by "x", the free factors "Z" first, then torsion factors "Z<m>" with each m >= 2 '
+        'dividing the next, e.g. "Z", "Z6", "ZxZxZ2", "Z2xZ4", "ZxZ2xZ4"; '
+        'any other name exits 2'))
 
     sub = _algebra_verb(verbs, "aut-count", _cmd_aut_count,
                         "automorphism count over a prime field")

@@ -241,32 +241,46 @@ def _coarsenings(base: Grading, group_menu) -> list[Grading]:
     images bounded by the dimension: the first per partition, sorted by
     partition.
 
-    Each homomorphism's partition is read off integer columns, one per
-    target coordinate k: the sum over source generators s of
-    images[s].coords[k] times column s of the base degrees, reduced mod
-    the k-th invariant factor when k is a torsion coordinate.  Zipped, the
-    columns give each basis vector's image degree; labelling those by
-    first occurrence gives a key that determines the partition and is
-    determined by it.  The sweep builds no group element per homomorphism,
-    and a Grading only for the first homomorphism per key.
+    Target coordinate k of a basis vector's image degree depends only on
+    the modulus m of k (0 when k is free) and the images' k-th coordinates
+    a: it is the sum over source generators s of a[s] times the s-th base
+    coordinate, reduced mod m when m is nonzero.  The first-occurrence
+    labels of that column over the basis are computed once per (m, a) in
+    the call and shared by every menu group; few such pairs occur, though
+    the homomorphisms number tens of thousands.  Each coordinate's labels
+    relabel its values one to one, so the first-occurrence labelling of
+    the zipped per-coordinate labels is that of the image degrees: a key
+    that determines the partition and is determined by it.  The sweep
+    builds no group element per homomorphism, and a Grading only for the
+    first homomorphism per key.
     """
     n = base.algebra.dim
     base_columns = list(zip(*(d.coords for d in base.degrees)))
+    column_labels: dict[tuple, tuple] = {}
     seen: dict[tuple, tuple] = {}
     for group in group_menu:
         moduli = (0,) * group.free_rank + group.torsion
         for images in all_homs(base.group, group, n):
-            columns = []
+            per_coordinate = []
             for k, m in enumerate(moduli):
-                column = [0] * n
-                for g, base_column in zip(images, base_columns):
-                    a = g.coords[k]
-                    if a:
-                        column = [x + a * b for x, b in zip(column, base_column)]
-                columns.append([x % m for x in column] if m else column)
-            labels: dict = {}
-            degrees = zip(*columns) if columns else [()] * n  # the trivial group has no columns
-            key = tuple(labels.setdefault(d, len(labels)) for d in degrees)
+                coeffs = (m,) + tuple(g.coords[k] for g in images)
+                labels = column_labels.get(coeffs)
+                if labels is None:
+                    column = [0] * n
+                    for a, base_column in zip(coeffs[1:], base_columns):
+                        if a:
+                            column = [x + a * b for x, b in zip(column, base_column)]
+                    first: dict = {}
+                    labels = tuple(first.setdefault(x % m if m else x, len(first)) for x in column)
+                    column_labels[coeffs] = labels
+                per_coordinate.append(labels)
+            if len(per_coordinate) == 1:
+                key = per_coordinate[0]
+            else:
+                first = {}
+                # the trivial group has no coordinates
+                degrees = zip(*per_coordinate) if per_coordinate else [()] * n
+                key = tuple(first.setdefault(d, len(first)) for d in degrees)
             seen.setdefault(key, (group, images))
     return sorted((coarsen(base, group, images) for group, images in seen.values()),
                   key=Grading.partition)

@@ -226,6 +226,8 @@ def test_algebra_index_validation():
         Algebra(2, QQ, {(0, 1): [(2, 1)]})
     with pytest.raises(ValueError):
         Algebra(2, QQ, {(1, 1): [(3, 1)]})
+    with pytest.raises(ValueError):
+        Algebra(2, QQ, {(1, 1): [(0, 1)]})
 
 
 def test_algebra_refuses_non_integer_dim_and_indices():

@@ -380,6 +380,17 @@ def test_input_with_zero_dim_exits_two(capsys, tmp_path):
     assert run_cli(capsys, "check", "--input", str(path))[0] == 0
 
 
+def test_input_with_target_index_zero_exits_two(capsys, tmp_path):
+    # indices run from 1; a term on e_0 must be refused, not read as a
+    # bracket that the Leibniz check then passes
+    path = tmp_path / "target0.json"
+    path.write_text(json.dumps({"dim": 2, "field": {"kind": "Q"},
+                                "sc": [{"i": 1, "j": 1, "terms": [{"k": 0, "c": "1"}]}]}))
+    code, out, err = run_cli(capsys, "check", "--input", str(path))
+    assert code == 2 and out == ""
+    assert one_error_line(err)
+
+
 def test_input_excludes_family(capsys, tmp_path):
     path = tmp_path / "a.json"
     path.write_text("{}")
