@@ -79,9 +79,12 @@ def reduce_vector(rows: list[list], pivots: list[int], v,
     residue is v minus a combination of rows only up to a nonzero factor;
     against rows that are 1 at their pivots (a Subspace basis) it is
     exactly v - sum v[c]*row.  With extend, a nonzero residue is appended
-    to rows and its first nonzero entry to pivots (so they keep the form
-    above), and returned: an all-int residue over Q divided by its content
-    with its leading entry made positive, any other scaled to 1 there.
+    to rows and the index of its first nonzero entry to pivots (so they
+    keep the form above), and returned: an all-int residue over Q divided
+    by its content with its leading entry made positive, any other scaled
+    to 1 there.  An int residue already led by 1 is appended as it is,
+    which may be v itself.  A zero residue appends nothing, so a caller
+    can read whether v was independent of the rows off their count.
     """
     for row, c in zip(rows, pivots):
         f = v[c]
@@ -95,20 +98,24 @@ def reduce_vector(rows: list[list], pivots: list[int], v,
             else:
                 v = [(x - f * y) % p for x, y in zip(v, row)]
     if extend:
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is not None:
-            if p is not None:
-                inv = pow(v[lead], -1, p)
+        for lead, a in enumerate(v):
+            if a:
+                break
+        else:  # zero, or empty: nothing to append
+            return v
+        if p is not None:
+            if a != 1:
+                inv = pow(a, -1, p)
                 v = [x * inv % p for x in v]
-            elif all(type(x) is int for x in v):
-                if v[lead] != 1:  # primitive, leading entry positive; a row led by 1 already is
-                    g = gcd(*v) if v[lead] > 0 else -gcd(*v)
-                    v = [x // g for x in v]
-            else:
-                inv = 1 / Fraction(v[lead])
-                v = [x * inv for x in v]
-            rows.append(v)
-            pivots.append(lead)
+        elif all(type(x) is int for x in v):
+            if a != 1:  # primitive, leading entry positive; a row led by 1 already is
+                g = gcd(*v) if a > 0 else -gcd(*v)
+                v = [x // g for x in v]
+        else:
+            inv = 1 / Fraction(a)
+            v = [x * inv for x in v]
+        rows.append(v)
+        pivots.append(lead)
     return v
 
 

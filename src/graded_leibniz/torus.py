@@ -35,17 +35,19 @@ below a failing row.
 
 The exhaustive automorphism search (brute_force_aut) inverts nothing.
 Its product constraints are compiled once per search into per-depth
-check lists on raw ints; only a forcing constraint [e_a, e_b] = c e_d,
-which pins column d to c^-1 [col_a, col_b] and so holds by construction,
-goes unevaluated.  It solves the constraints affine in the next column
-mod p instead of scanning all p^n columns, and it ends a prefix as soon
-as a column falls in the span of those before it, since every completion
-is then singular.  It also confines each column to the characteristic
-subspaces of its basis vector: an automorphism f maps each of the
-subspaces built from the bracket alone (lower central series terms,
-annihilators, center, span of squares) onto itself, and f is a
-bijection, so f(e_d) lies in such a subspace S exactly when e_d does
-(Eick, Linear Algebra Appl. 382, 2004).
+check lists on raw ints, where a coordinate of [e_a, e_b] = 0 with one
+product term c x_i y_j is the zero test x_i and y_j; only a forcing
+constraint [e_a, e_b] = c e_d, which pins column d to c^-1 [col_a, col_b]
+and so holds by construction, goes unevaluated, and its product terms
+are compiled with c^-1 multiplied in.  It solves the constraints affine
+in the next column mod p instead of scanning all p^n columns, and it
+ends a prefix as soon as a column falls in the span of those before it,
+since every completion is then singular.  It also confines each column
+to the characteristic subspaces of its basis vector: an automorphism f
+maps each of the subspaces built from the bracket alone (lower central
+series terms, annihilators, center, span of squares) onto itself, and f
+is a bijection, so f(e_d) lies in such a subspace S exactly when e_d
+does (Eick, Linear Algebra Appl. 382, 2004).
 Every kernel comes from linalg.affine_solve, every echelon form from
 linalg.rref and the rank test from linalg.reduce_vector; the series
 comes from algebras, its terms already raw rows mod p.  Scalar matrices
@@ -372,13 +374,20 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
     are placed.  The checks are compiled once per call: the structure
     constants are flattened into 0-based raw tuples, and each depth gets
     its list of constraints, each evaluated as [col_a, col_b] - sum c_k
-    col_k on raw ints up to the first nonzero residue mod p.  Three
-    prunings cut the walk; all are exact:
+    col_k on raw ints up to the first nonzero residue mod p.  A
+    coordinate of a constraint [e_a, e_b] = 0 whose one product term is
+    c x_i y_j (x = col_a, y = col_b) is tested as x_i and y_j instead:
+    c lies in [1, p) and p is prime, so c x_i y_j is nonzero mod p
+    exactly when both factors are.  Which coordinates take that test is
+    settled when the checks are compiled.  Three prunings cut the walk;
+    all are exact:
 
     * A constraint [e_a, e_b] = c e_d with a, b < d pins column d
       outright to c^-1 [col_a, col_b], so it holds by construction and is
       the one constraint left out of that depth's checks; every other
-      constraint at depth d is still evaluated.  At any other depth d
+      constraint at depth d is still evaluated.  The column is summed
+      from the bracket's product terms, each constant already multiplied
+      by c^-1 when the checks are compiled.  At any other depth d
       every constraint except [e_d, e_d] is affine in column d, so only
       the coset x0 + span(basis) of that system's solutions mod p
       (linalg.affine_solve) is enumerated, not all p^n columns.  Every
@@ -386,8 +395,9 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
       a coset too large can only cost time, never a wrong column.
     * M is invertible iff each column lies outside the span of the
       columns before it, so a prefix is cut as soon as its newest column
-      is dependent (linalg.reduce_vector against the placed columns'
-      echelon rows).  Every leaf is then invertible; nothing is inverted.
+      is dependent: linalg.reduce_vector against the placed columns'
+      echelon rows does not append it.  Every leaf is then invertible;
+      nothing is inverted.
     * Every automorphism f maps each subspace S of
       _characteristic_subspaces onto itself, and f is a bijection, so
       f(e_d) lies in S exactly when e_d lies in f^-1(S) = S.  At an
@@ -424,27 +434,46 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
             depth = max(a, b, *(k for k, _ in terms)) if terms else max(a, b)
             by_depth[depth].append((a, b, terms))
 
-    forced: dict[int, tuple[int, int, int]] = {}
-    for d in range(1, n + 1):
-        for a, b, terms in by_depth[d]:
-            if a < d and b < d and len(terms) == 1 and terms[0][0] == d:
-                forced[d] = (a, b, pow(terms[0][1], -1, p))
-                break
-
     # compiled once: into[r] lists the (i, j, c), 0-based, with c e_r a term
-    # of [e_i, e_j].  checks[d] is by_depth[d] less the forcing constraint,
-    # which holds by construction of the forced column, each constraint with
-    # the coordinates its residue can be nonzero in: all of them when it has
-    # terms, else those some bracket reaches
+    # of [e_i, e_j]; a forcing constraint [e_a, e_b] = c e_d gives forced[d]
+    # = (a, b, the (r, i, j, c'/c) over into), so coordinate r of column d
+    # is the sum of its c'/c x_i y_j mod p, x = col_a and y = col_b
     into: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for (i, j), terms in sc.items():
         for k, c in terms:
             into[k - 1].append((i - 1, j - 1, c))
-    reached = [(r, prods) for r, prods in enumerate(into) if prods]
-    checks = {d: [(a, b, terms, list(enumerate(into)) if terms else reached)
-                  for a, b, terms in by_depth[d]
-                  if d not in forced or (a, b) != forced[d][:2]]
-              for d in by_depth}
+    forced: dict[int, tuple[int, int, list]] = {}
+    for d in range(1, n + 1):
+        for a, b, terms in by_depth[d]:
+            if a < d and b < d and len(terms) == 1 and terms[0][0] == d:
+                cinv = pow(terms[0][1], -1, p)
+                forced[d] = (a, b, [(r, i, j, c * cinv % p)
+                                    for r, prods in enumerate(into) for i, j, c in prods])
+                break
+
+    # the checks at depth d are by_depth[d] less the forcing constraint,
+    # which holds by construction of the forced column, each constraint with
+    # the coordinates its residue can be nonzero in: all of them when it has
+    # terms, else those some bracket reaches.  A coordinate of a constraint
+    # without terms whose one product is c x_i y_j is nonzero mod p iff x_i
+    # and y_j are (c is in [1, p) and p is prime): those go to zeros[d] as
+    # (a, b, their (i, j) pairs), every other one to sums[d], summed there
+    zeros: dict[int, list] = {d: [] for d in by_depth}
+    sums: dict[int, list] = {d: [] for d in by_depth}
+    everywhere = list(enumerate(into))
+    pairs = [prods[0][:2] for prods in into if len(prods) == 1]
+    rest = [(r, prods) for r, prods in everywhere if len(prods) > 1]
+    for d, constraints in by_depth.items():
+        for a, b, terms in constraints:
+            if d in forced and (a, b) == forced[d][:2]:
+                continue
+            if terms:
+                sums[d].append((a, b, terms, everywhere))
+                continue
+            if pairs:
+                zeros[d].append((a, b, pairs))
+            if rest:
+                sums[d].append((a, b, terms, rest))
 
     # at each unforced depth d, column d must solve the equations of every
     # characteristic subspace holding e_d and lie in none of the others;
@@ -464,13 +493,20 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
     found: list[tuple[tuple[int, ...], ...]] = []
     cols: list[tuple[int, ...]] = [()] * (n + 1)
 
-    def violated(depth_checks) -> bool:
-        """True iff some [col_a, col_b] - sum c_k col_k has a nonzero entry mod p.
+    def violated(d: int) -> bool:
+        """True iff some [col_a, col_b] - sum c_k col_k at depth d has a
+        nonzero entry mod p.
 
-        One pass per constraint on raw ints, coordinate by coordinate,
-        returning at the first nonzero residue.
+        The one-product rows of zeros[d] are tested first, as x_i and y_j;
+        then each constraint of sums[d] is summed on raw ints, coordinate by
+        coordinate, returning at the first nonzero residue.
         """
-        for a, b, terms, rows in depth_checks:
+        for a, b, pairs in zeros[d]:
+            x, y = cols[a], cols[b]
+            for i, j in pairs:
+                if x[i] and y[j]:
+                    return True
+        for a, b, terms, rows in sums[d]:
             x, y = cols[a], cols[b]
             for r, prods in rows:
                 v = 0
@@ -520,8 +556,9 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
             return []
         return _coset_outside(*solved, avoid[d], p)
 
-    # echelon rows of the placed columns; a column with zero residue ends its prefix
-    rows: list[list[int]] = []
+    # echelon rows of the placed columns, d - 1 of them at depth d; a column
+    # that reduce_vector does not append is dependent and ends its prefix
+    rows: list = []
     pivots: list[int] = []
 
     def walk(d: int) -> None:
@@ -532,18 +569,21 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
             return
         if d in forced:
             forced_cols += 1
-            a, b, cinv = forced[d]
-            prod = product(cols[a], cols[b])
-            candidates = [tuple(x * cinv % p for x in prod)]
+            a, b, scaled = forced[d]
+            x, y = cols[a], cols[b]
+            image = [0] * n
+            for r, i, j, c in scaled:
+                image[r] += c * x[i] * y[j]
+            candidates = [tuple([v % p for v in image])]
         else:
             candidates = solutions(d)
-        depth_checks = checks[d]
         for col in candidates:
-            if not any(reduce_vector(rows, pivots, col, p, extend=True)):
+            reduce_vector(rows, pivots, col, p, extend=True)
+            if len(rows) < d:
                 pruned += 1
                 continue
             cols[d] = col
-            if violated(depth_checks):
+            if violated(d):
                 pruned += 1
             else:
                 walk(d + 1)

@@ -21,6 +21,15 @@ def failed_claims(criteria):
     return {(c.criterion, c.name, c.family, c.dim, c.field) for c in claims if not c.passed}
 
 
+def appends_every_vector(orig):
+    """A rank test that never cuts: every vector joins the echelon rows."""
+    def mutant(rows, pivots, v, p=None, extend=False):
+        rows.append(v)
+        pivots.append(0)
+        return v
+    return mutant
+
+
 def doubled_degrees(orig):
     """universal_grading with every degree doubled: still a grading, but one
     whose degrees span only 2U."""
@@ -58,11 +67,17 @@ MUTANTS = [
                  {6}, (6, "toral-table-generic-order", "nf", 3, "Q"), id="toral-base-doubled"),
     pytest.param(verification, "lift_direct_sum_gradings", lambda orig: lambda grading, summand: [],
                  {8}, (8, "direct-sum-lift", "f2", 4, "Q"), id="lift_direct_sum_gradings-empty"),
+    # every criterion 4 walk reports pruned 0, so no claim reaches a
+    # dependent column; tests/test_torus.py::test_walk_counters_by_hand
+    # kills it at lie_l 4 over F3 (2,268 automorphisms instead of 972)
+    pytest.param(torus, "reduce_vector", appends_every_vector,
+                 {4}, (4, "aut-exhaustion", "f1", 4, "F3"), id="rank-test-never-cuts",
+                 marks=pytest.mark.xfail(strict=True, reason="no criterion 4 walk prunes")),
 ]
 
 
 def test_named_criteria_pass_unmutated():
-    assert failed_claims({1, 5, 6, 7, 8, 10}) == set()
+    assert failed_claims({1, 4, 5, 6, 7, 8, 10}) == set()
 
 
 @pytest.mark.parametrize("module, name, replace, criteria, claim", MUTANTS)

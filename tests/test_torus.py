@@ -548,8 +548,13 @@ def test_coset_residues_give_the_reference_candidates(monkeypatch, family, n, p)
         # with x = y, and 4 of the other 6 fail [e1, e2] = [e2, e1] = 0 or
         # [e2, e2] = e1
         (Algebra(2, F3, {(1, 1): [(2, 1)], (2, 2): [(1, 1)]}), (2, 11, 8, 7)),
+        # the Lie filiform families: (p-1)^2 p^(2n-3) automorphisms; the rank
+        # test cuts candidates here, and a coordinate of [e_1, e_i] = -[e_i, e_1]
+        # sums two products
+        (make_family("lie_l", 4, F3), (972, 7705, 6660, 4212)),
+        (make_family("lie_q", 4, F3), (972, 10621, 9576, 4212)),
     ],
-    ids=["abelian-F2", "dependent-forced-F3"],
+    ids=["abelian-F2", "dependent-forced-F3", "lie_l-4-F3", "lie_q-4-F3"],
 )
 def test_walk_counters_by_hand(alg, counts):
     report = brute_force_aut(alg)
