@@ -47,7 +47,10 @@ to the characteristic subspaces of its basis vector: an automorphism f
 maps each of the subspaces built from the bracket alone (lower central
 series terms, annihilators, center, span of squares) onto itself, and f
 is a bijection, so f(e_d) lies in such a subspace S exactly when e_d
-does (Eick, Linear Algebra Appl. 382, 2004).
+does (Eick, Linear Algebra Appl. 382, 2004).  The columns a subspace
+excludes from a coset are solved for once, not tested one by one, and
+the walk recurses once per unforced column: the forced columns that
+follow one are placed in a loop.
 Every kernel comes from linalg.affine_solve, every echelon form from
 linalg.rref and the rank test from linalg.reduce_vector; the series
 comes from algebras, its terms already raw rows mod p.  Scalar matrices
@@ -176,10 +179,10 @@ def is_automorphism(alg: Algebra, m: list[list[Scalar]]) -> bool:
 
 class AutSearchReport(NamedTuple):
     """count is the number of automorphisms found and nodes the number of
-    walk calls: one per column prefix reached, the empty one and the leaves
-    included.  forced counts the columns computed from a forcing constraint
-    and pruned the candidate columns cut by the rank test or by a failed
-    constraint."""
+    column prefixes the walk reached, the empty one and the leaves
+    included, whether reached by a call or by placing a forced column.
+    forced counts the columns computed from a forcing constraint and pruned
+    the candidate columns cut by the rank test or by a failed constraint."""
 
     count: int
     all_in_family: bool | None
@@ -287,7 +290,7 @@ def _add_affine_span(out: set, point, steps, p: int, keep=None, settled=None, k:
     for _ in range(p - 1):
         rows = list(point)
         for r, delta in step:
-            rows[r] = tuple((x + y) % p for x, y in zip(rows[r], delta))
+            rows[r] = tuple([(x + y) % p for x, y in zip(rows[r], delta)])
         point = tuple(rows)
         spent = _add_affine_span(out, point, steps, p, keep, settled, k + 1, spent, budget)
     return spent
@@ -344,26 +347,34 @@ def _coset_outside(x0, basis, avoid, p: int) -> list[tuple[int, ...]]:
     t_k varying fastest, that lie in no subspace of `avoid`, each given by
     the rows E of its equations (x lies in it iff E x = 0 mod p).
 
-    Every equation is evaluated once on x0 and once on each basis vector;
-    since E x is linear in the t_i, the residues are carried along as the
-    coset is built, and a vector is kept iff every subspace has a nonzero
-    residue.  Residues are lists: freed small tuples stay on the
-    interpreter's per-size free lists, and tuple residues raised the peak
-    RSS of the benchmark's four walks by about 0.35 MB.
+    Nothing is evaluated per vector.  For each avoided subspace,
+    E(x0 + sum t_i v_i) = 0 is an affine system in t, with coefficients
+    e . v_i and constants -e . x0 for each row e of E; it is solved once
+    (linalg.affine_solve) and the index sum t_i p^(k-i) of each solution,
+    the vector's position in the coset order, is excluded.  The coset is
+    built from the multiples t v_i, computed once per basis vector.
     """
-    eqs = [e for sub in avoid for e in sub]
-    ends = list(itertools.accumulate(len(sub) for sub in avoid))
-    spans = list(zip([0] + ends, ends))
-
-    def residues(v):
-        return [sum(a * b for a, b in zip(e, v)) % p for e in eqs]
-
-    xs, rs = [tuple(x0)], [residues(x0)]
+    k = len(basis)
+    place = [p ** (k - 1 - i) for i in range(k)]
+    excluded = set()
+    for eqs in avoid:
+        system = [[sum(a * b for a, b in zip(e, v)) for v in basis]
+                  + [-sum(a * b for a, b in zip(e, x0))] for e in eqs]
+        solved = affine_solve(system, k, p)
+        if solved is None:
+            continue
+        t0, directions = solved
+        ts = [t0]
+        for u in directions:
+            ts = [[(a + c * b) % p for a, b in zip(t, u)] for t in ts for c in range(p)]
+        excluded.update(sum(a * w for a, w in zip(t, place)) for t in ts)
+    xs = [tuple(x0)]
     for v in basis:
-        rv = residues(v)
-        xs = [tuple((a + t * b) % p for a, b in zip(x, v)) for x in xs for t in range(p)]
-        rs = [[(a + t * b) % p for a, b in zip(r, rv)] for r in rs for t in range(p)]
-    return [x for x, r in zip(xs, rs) if all(any(r[i:j]) for i, j in spans)]
+        multiples = [[t * b for b in v] for t in range(p)]
+        xs = [tuple([(a + b) % p for a, b in zip(x, m)]) for x in xs for m in multiples]
+    if not excluded:
+        return xs
+    return [x for i, x in enumerate(xs) if i not in excluded]
 
 
 def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchReport:
@@ -403,18 +414,25 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
       f(e_d) lies in S exactly when e_d lies in f^-1(S) = S.  At an
       unforced depth d the equations of every S holding e_d join the
       column's linear system, and a solution lying in an S that does not
-      hold e_d is dropped.  Forced columns are not filtered: the checks
-      and the rank test already decide them, and filtering them too
+      hold e_d is dropped.  Those solutions are not tested one by one:
+      _coset_outside solves each avoided subspace's equations on the coset
+      once and drops the solutions.  Forced columns are not filtered: the
+      checks and the rank test already decide them, and filtering them too
       slowed nf 4 over F_5 by a third (0.029 to 0.040 s) without saving a
       node.
 
-    The walk thus visits only invertible prefixes consistent with all
-    prefix constraints, and its count equals the raw p^(n^2) scan's
-    count; nodes counts its calls, forced the columns pinned by a forcing
-    constraint and pruned the candidates cut by the rank test or by a
-    failed constraint.  The budget still gates on that raw size since an
-    algebra with few constants admits little pruning: the abelian one
-    visits all of GL_n(F_p).
+    The walk recurses once per unforced depth.  Each candidate column
+    there that passes is followed, in a loop, by the forced columns up to
+    the next unforced depth, each summed, rank-tested and checked as
+    above; a cut anywhere in that run returns the echelon rows to the
+    prefix before the candidate.  The walk thus visits only invertible
+    prefixes consistent with all prefix constraints, and its count equals
+    the raw p^(n^2) scan's count; nodes counts the column prefixes it
+    reached, forced the columns pinned by a forcing constraint and pruned
+    the candidates cut by the rank test or by a failed constraint.  The
+    budget still gates on that raw size since an algebra with few
+    constants admits little pruning: the abelian one visits all of
+    GL_n(F_p).
     """
     p = alg.field.p
     if p is None:
@@ -560,24 +578,32 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
     # that reduce_vector does not append is dependent and ends its prefix
     rows: list = []
     pivots: list[int] = []
+    # after each unforced depth d, the run of forced depths that follows it,
+    # then the next unforced depth (n + 1 past the last column)
+    runs: dict[int, tuple[list[int], int]] = {}
+    for d in range(1, n + 1):
+        if d not in forced:
+            e = d + 1
+            while e in forced:
+                e += 1
+            runs[d] = (list(range(d + 1, e)), e)
 
     def walk(d: int) -> None:
+        """Extend the placed prefix of d - 1 columns: d is unforced, or n + 1.
+
+        Each candidate for column d that passes is followed by its run of
+        forced columns, placed here in a loop; every prefix reached counts
+        as a node, this call's and each forced column's.  After each
+        candidate, cut or not, the echelon rows go back to the d - 1 of
+        the placed prefix.
+        """
         nonlocal nodes, forced_cols, pruned
         nodes += 1
         if d > n:
             found.append(tuple(zip(*cols[1:])))
             return
-        if d in forced:
-            forced_cols += 1
-            a, b, scaled = forced[d]
-            x, y = cols[a], cols[b]
-            image = [0] * n
-            for r, i, j, c in scaled:
-                image[r] += c * x[i] * y[j]
-            candidates = [tuple([v % p for v in image])]
-        else:
-            candidates = solutions(d)
-        for col in candidates:
+        run, after = runs[d]
+        for col in solutions(d):
             reduce_vector(rows, pivots, col, p, extend=True)
             if len(rows) < d:
                 pruned += 1
@@ -586,9 +612,27 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
             if violated(d):
                 pruned += 1
             else:
-                walk(d + 1)
-            rows.pop()
-            pivots.pop()
+                for e in run:
+                    nodes += 1
+                    forced_cols += 1
+                    a, b, scaled = forced[e]
+                    x, y = cols[a], cols[b]
+                    image = [0] * n
+                    for r, i, j, c in scaled:
+                        image[r] += c * x[i] * y[j]
+                    image = tuple([v % p for v in image])
+                    reduce_vector(rows, pivots, image, p, extend=True)
+                    if len(rows) < e:
+                        pruned += 1
+                        break
+                    cols[e] = image
+                    if violated(e):
+                        pruned += 1
+                        break
+                else:
+                    walk(after)
+            del rows[d - 1:]
+            del pivots[d - 1:]
 
     walk(1)
     # walk reads itself through its closure cell; emptying the cell breaks

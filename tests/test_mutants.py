@@ -30,6 +30,11 @@ def appends_every_vector(orig):
     return mutant
 
 
+def without_free_torsion(orig):
+    """default_group_menu without its Z x Z_i groups."""
+    return lambda n: [g for g in orig(n) if not (g.free_rank and g.torsion)]
+
+
 def doubled_degrees(orig):
     """universal_grading with every degree doubled: still a grading, but one
     whose degrees span only 2U."""
@@ -61,6 +66,13 @@ MUTANTS = [
                  {7}, (7, "enumeration-vs-catalog", "f1", 5, "Q"), id="equivalent-compares-degrees"),
     # the torus read off doubled degrees is the squares of the real one:
     # over F5, diag(t^2, t^4, t^6) takes 2 values where the normalizer has 4
+    # the menu sweep cross-checks criterion 7 only at n <= 4, where the menu
+    # without Z x Z_i still finds every class; at f1 5 and f2 5 it finds 13
+    # of 14, and tests/test_catalog.py::test_enumeration_matches_catalog and
+    # test_menu_contents kill the same menu in catalog
+    pytest.param(verification, "default_group_menu", without_free_torsion,
+                 {7}, (7, "enumeration-vs-catalog", "f1", 5, "Q"), id="menu-without-Z-x-Zi",
+                 marks=pytest.mark.xfail(strict=True, reason="no criterion 7 sweep reaches n = 5")),
     pytest.param(torus, "universal_grading", doubled_degrees,
                  {5}, (5, "normalizer-equals-torus", "nf", 3, "F5"), id="torus-weights-doubled"),
     pytest.param(verification, "universal_grading", doubled_degrees,

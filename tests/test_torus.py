@@ -470,7 +470,7 @@ def test_brute_force_family_is_aut_at_benchmark_sizes(family, n, p):
     assert report.all_in_family is True
 
 
-# walk calls before each column was confined to the characteristic subspaces
+# walk nodes before each column was confined to the characteristic subspaces
 # of its basis vector: nf 4 F5 2,125, nf 5 F3 891, f1 4 F5 22,305, f1 5 F3 8,067
 @pytest.mark.parametrize(
     "family,n,p,nodes",
@@ -537,6 +537,40 @@ def test_coset_residues_give_the_reference_candidates(monkeypatch, family, n, p)
     assert calls and (n < 3 or any(calls))
 
 
+@st.composite
+def coset_and_avoided(draw):
+    """x0, up to three basis vectors and up to three avoided subspaces of
+    F_p^m (each one to m equation rows), p in 2, 3, 5 and m in 1..4."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    vector = st.lists(st.integers(min_value=0, max_value=p - 1), min_size=m, max_size=m)
+    x0 = draw(vector)
+    basis = draw(st.lists(vector, max_size=3))
+    eqs = st.lists(vector.map(tuple), min_size=1, max_size=m).map(tuple)
+    return x0, basis, draw(st.lists(eqs, max_size=3)), p
+
+
+@given(coset_and_avoided())
+# an empty basis: the coset is x0 alone, kept and dropped
+@example(([1, 2], [], [((1, 0),)], 3))
+@example(([0, 2], [], [((1, 0),)], 3))
+# x0 inside the avoided subspace x_1 = 0: the t_1 = 0 slice goes
+@example(([0, 0, 1], [[1, 0, 0], [0, 1, 0]], [((1, 0, 0),)], 5))
+# an exclusion system with no solution: x_3 = 0 is never met on x0 + t e_1
+@example(([0, 0, 1], [[1, 0, 0]], [((0, 0, 1),)], 3))
+# nested avoided subspaces, x_1 = x_2 = 0 within x_1 = 0, and overlapping
+# ones, x_1 = 0 and x_2 = 0, over F_2
+@example(([0, 0, 1], [[1, 0, 0], [0, 1, 0]], [((1, 0, 0), (0, 1, 0)), ((1, 0, 0),)], 2))
+@example(([0, 0, 1], [[1, 0, 0], [0, 1, 0]], [((1, 0, 0),), ((0, 1, 0),)], 2))
+# a dependent basis: positions repeat vectors, and a solved position drops
+# every copy of its vector
+@example(([1, 0], [[1, 1], [2, 2]], [((1, 2),)], 3))
+@settings(max_examples=200, deadline=None)
+def test_coset_outside_matches_reference(case):
+    x0, basis, avoid, p = case
+    assert _coset_outside(x0, basis, avoid, p) == reference_coset_outside(x0, basis, avoid, p)
+
+
 @pytest.mark.parametrize(
     "alg,counts",
     [
@@ -553,11 +587,19 @@ def test_coset_residues_give_the_reference_candidates(monkeypatch, family, n, p)
         # sums two products
         (make_family("lie_l", 4, F3), (972, 7705, 6660, 4212)),
         (make_family("lie_q", 4, F3), (972, 10621, 9576, 4212)),
+        # the benchmark's four walks, whose nodes are the column prefixes
+        # test_walk_nodes_at_benchmark_sizes counts; its two normalizer
+        # inputs are pinned in test_normalizer_nodes_at_benchmark_sizes
+        (make_family("nf", 4, F5), (500, 2_001, 1_500, 0)),
+        (make_family("nf", 5, F3), (162, 811, 648, 0)),
+        (make_family("f1", 4, F5), (2_000, 6_021, 4_000, 0)),
+        (make_family("f1", 5, F3), (324, 1_303, 972, 0)),
     ],
-    ids=["abelian-F2", "dependent-forced-F3", "lie_l-4-F3", "lie_q-4-F3"],
+    ids=["abelian-F2", "dependent-forced-F3", "lie_l-4-F3", "lie_q-4-F3",
+         "nf-4-F5", "nf-5-F3", "f1-4-F5", "f1-5-F3"],
 )
 def test_walk_counters_by_hand(alg, counts):
-    report = brute_force_aut(alg)
+    report = brute_force_aut(alg, budget=alg.field.p ** (alg.dim ** 2))
     assert (report.count, report.nodes, report.forced, report.pruned) == counts
 
 
