@@ -36,14 +36,11 @@ from .verification import run_all, summarize
 
 _FAMILY_FLAGS = {"nf": "nf", "f1": "f1", "f2": "f2", "lie-l": "lie_l", "lie-q": "lie_q"}
 
-#: assumed throughput for converting aut-count's --budget-ms time budget
-#: into brute_force_aut's search-space budget (matrices or states examined
-#: per ms)
-OPS_PER_MS = 50_000
-
-#: measured rate for converting normalizer's --budget-ms into span-walk
-#: calls: a call took 2.6-3.7 µs over 2M calls at nf 3 mod 1000003 (2-vCPU
-#: host, Python 3.11), so 250 calls per ms
+#: measured rate for converting --budget-ms into walk steps, for both
+#: budgeted searches: a normalizer span-walk call took 2.6-3.7 µs over 2M
+#: calls at nf 3 mod 1000003, and brute_force_aut reached 167-229 nodes
+#: per ms on the four benchmark walks (nf 4 and f1 4 over F5, nf 5 and
+#: f1 5 over F3; 2-vCPU host, Python 3.11), so 250 per ms
 WALK_CALLS_PER_MS = 250
 
 
@@ -86,11 +83,11 @@ def _algebra_header(alg: Algebra) -> dict:
     return {"algebra": {"family": alg.label, "dim": alg.dim}, "field": alg.field.to_json()}
 
 
-def _budget(args, per_ms: int) -> int:
+def _budget(args) -> int:
     if args.budget_ms is not None:
         if args.budget_ms < 1:
             raise UsageError(f"--budget-ms must be at least 1, got {args.budget_ms}")
-        return args.budget_ms * per_ms
+        return args.budget_ms * WALK_CALLS_PER_MS
     return DEFAULT_BUDGET
 
 
@@ -149,7 +146,7 @@ def _cmd_aut_count(args):
         raise UsageError("--budget-ms applies only with --brute-force")
     alg = _load_algebra(args)
     if args.brute_force:
-        report = brute_force_aut(alg, budget=_budget(args, OPS_PER_MS))
+        report = brute_force_aut(alg, budget=_budget(args))
         check, count, matches, elapsed = (
             "aut-bruteforce", report.count, report.all_in_family, report.elapsed_ms)
     else:
@@ -173,7 +170,7 @@ def _cmd_aut_count(args):
 
 def _cmd_normalizer(args):
     alg = _load_algebra(args)
-    report = normalizer_equals_torus(alg, budget=_budget(args, WALK_CALLS_PER_MS))
+    report = normalizer_equals_torus(alg, budget=_budget(args))
     doc = {
         "check": "normalizer",
         **_algebra_header(alg),

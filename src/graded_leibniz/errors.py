@@ -42,12 +42,14 @@ class ZeroParameter(GradedLeibnizError, ValueError):
 
 
 class BudgetExceeded(GradedLeibnizError, RuntimeError):
-    """Raised when an exhaustive search would exceed its configured budget."""
+    """Raised when an exhaustive search takes more steps than its budget:
+    required is the step count reached, or a lower bound on the steps when
+    the search is refused before it starts."""
 
     def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
-        super().__init__(f"search space of size {required} exceeds budget {budget}")
+        super().__init__(f"search needs at least {required} steps, over its budget of {budget}")
 
 
 class UnsupportedFamily(GradedLeibnizError, ValueError):

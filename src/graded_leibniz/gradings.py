@@ -248,11 +248,18 @@ def _coarsenings(base: Grading, group_menu) -> list[Grading]:
     labels of that column over the basis are computed once per (m, a) in
     the call and shared by every menu group; few such pairs occur, though
     the homomorphisms number tens of thousands.  Each coordinate's labels
-    relabel its values one to one, so the first-occurrence labelling of
-    the zipped per-coordinate labels is that of the image degrees: a key
-    that determines the partition and is determined by it.  The sweep
-    builds no group element per homomorphism, and a Grading only for the
-    first homomorphism per key.
+    relabel its values one to one, so the zipped per-coordinate labels
+    relabel the image degrees one to one: a key that determines the
+    partition.  The sweep keys each homomorphism on it as it stands (the
+    labels themselves with one coordinate, (0,) * n for the trivial group)
+    and keeps the first (group, images) per key.  Only after the sweep is
+    each distinct key relabelled, once, into its first-occurrence labels,
+    which are the partition's; the first representative per partition is
+    kept, in key insertion order.  That is the first homomorphism with
+    that partition, since it is the first homomorphism of the earliest key
+    mapping to the partition.  The sweep builds no group element per
+    homomorphism, and a Grading only for the first homomorphism per
+    partition.
     """
     n = base.algebra.dim
     base_columns = list(zip(*(d.coords for d in base.degrees)))
@@ -277,12 +284,14 @@ def _coarsenings(base: Grading, group_menu) -> list[Grading]:
             if len(per_coordinate) == 1:
                 key = per_coordinate[0]
             else:
-                first = {}
                 # the trivial group has no coordinates
-                degrees = zip(*per_coordinate) if per_coordinate else [()] * n
-                key = tuple(first.setdefault(d, len(first)) for d in degrees)
+                key = tuple(zip(*per_coordinate)) if per_coordinate else (0,) * n
             seen.setdefault(key, (group, images))
-    return sorted((coarsen(base, group, images) for group, images in seen.values()),
+    by_partition: dict[tuple, tuple] = {}
+    for key, first_hom in seen.items():
+        first = {}
+        by_partition.setdefault(tuple([first.setdefault(d, len(first)) for d in key]), first_hom)
+    return sorted((coarsen(base, group, images) for group, images in by_partition.values()),
                   key=Grading.partition)
 
 

@@ -430,17 +430,15 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
     the raw p^(n^2) scan's count; nodes counts the column prefixes it
     reached, forced the columns pinned by a forcing constraint and pruned
     the candidates cut by the rank test or by a failed constraint.  The
-    budget still gates on that raw size since an algebra with few
-    constants admits little pruning: the abelian one visits all of
-    GL_n(F_p).
+    budget gates on the work done, not on the raw size: the walk raises
+    BudgetExceeded(nodes so far, budget) at the first node past it.  An
+    algebra with few constants admits little pruning (the abelian one
+    visits all of GL_n(F_p)), and the budget cuts that walk short.
     """
     p = alg.field.p
     if p is None:
         raise FieldMismatch("exhaustive automorphism search needs a prime field")
     n = alg.dim
-    required = p ** (n * n)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
     start = time.monotonic()
     sc = alg.sc
     product = alg.raw_product
@@ -599,6 +597,8 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
         """
         nonlocal nodes, forced_cols, pruned
         nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(nodes, budget)
         if d > n:
             found.append(tuple(zip(*cols[1:])))
             return
@@ -614,6 +614,8 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
             else:
                 for e in run:
                     nodes += 1
+                    if nodes > budget:
+                        raise BudgetExceeded(nodes, budget)
                     forced_cols += 1
                     a, b, scaled = forced[e]
                     x, y = cols[a], cols[b]
@@ -634,10 +636,13 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
             del rows[d - 1:]
             del pivots[d - 1:]
 
-    walk(1)
-    # walk reads itself through its closure cell; emptying the cell breaks
-    # that cycle, so found, cols and by_depth are freed on return, not by gc
-    del walk
+    try:
+        walk(1)
+    finally:
+        # walk reads itself through its closure cell; emptying the cell
+        # breaks that cycle, so found, cols and by_depth are freed on
+        # return or on a budget cut, not by gc
+        del walk
     family = _family_param_space(alg)
     all_in_family = None if family is None else set(found) == family
     elapsed = int((time.monotonic() - start) * 1000)

@@ -178,6 +178,8 @@ GRADINGS_DIGESTS = {
     "--family f1 --dim 7": "39559d39f62d1a4bca0454e397b51e8e301b3c6324af6cb003a11bb017c64823",
     "--family f2 --dim 7": "e511311ef6ec23726e5d4df3bdf2a8282e65254d94b1bc77d97c207c9cd762ec",
     "--family f1 --dim 6 --group ZxZ2xZ4": "e48d5e5bdb6f3e20344c7096a6932ba4fc1cd68a9c6dbbbbcacb29e087416230",
+    # three target coordinates, so the sweep's keys zip three label columns
+    "--family f2 --dim 5 --group ZxZxZ2": "06e6482d1f8b2c57e3e0aa2a33a51d56dbf136f83982fb5ad9e5386ce8176603",
 }
 
 
@@ -419,6 +421,20 @@ def test_budget_flag_converts_to_search_budget(capsys):
         "--brute-force", "--budget-ms", "1",
     )
     assert code == 2 and "budget" in err
+
+
+@pytest.mark.parametrize("family, dim, field, count, nodes", [
+    ("f1", "4", "F5", 2000, 6021),
+    ("f1", "5", "F3", 324, 1303),
+])
+def test_brute_force_default_budget_counts_walk_nodes(capsys, family, dim, field, count, nodes):
+    # the default budget counts the walk's nodes, a few thousand here, not
+    # the 5^16 and 3^25 matrices the walk ranges over
+    code, doc = run_json(
+        capsys, "aut-count", "--family", family, "--dim", dim, "--field", field, "--brute-force"
+    )
+    assert code == 0
+    assert (doc["count"], doc["nodes"], doc["matches_family"]) == (count, nodes, True)
 
 
 @pytest.mark.parametrize("budget_ms, exit_code", [("1", 2), ("3", 0)])

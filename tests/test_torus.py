@@ -730,6 +730,10 @@ def test_searches_leave_no_reference_cycles():
     try:
         brute_force_aut(alg)
         assert gc.collect() == 0
+        # a walk cut by its budget frees its closure too
+        with pytest.raises(BudgetExceeded):
+            brute_force_aut(alg, budget=100)
+        assert gc.collect() == 0
         normalizer_equals_torus(alg)
         assert gc.collect() == 0
         normalizer_equals_torus(make_family("nf", 6, F5))
@@ -739,10 +743,16 @@ def test_searches_leave_no_reference_cycles():
 
 
 def test_brute_force_budget():
+    # the budget gates on the nodes the walk reaches, not on the raw 5^16
+    # matrices: nf 4 over F5 reaches 2001 and is cut at the first one past it
+    alg = make_family("nf", 4, F5)
     with pytest.raises(BudgetExceeded) as info:
-        brute_force_aut(make_family("nf", 4, F5), budget=1000)
-    assert info.value.required == 5**16
-    assert info.value.budget == 1000
+        brute_force_aut(alg, budget=1000)
+    assert (info.value.required, info.value.budget) == (1001, 1000)
+    assert brute_force_aut(alg, budget=2001).nodes == 2001
+    with pytest.raises(BudgetExceeded) as info:
+        brute_force_aut(alg, budget=2000)
+    assert (info.value.required, info.value.budget) == (2001, 2000)
 
 
 # -- normalizer ---------------------------------------------------------------
