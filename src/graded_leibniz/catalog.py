@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebras import Algebra, direct_sum, make_family
-from .errors import BadDimension, DifferentAlgebras, UnsupportedFamily
+from .algebras import Algebra, abelian_algebra, direct_sum, make_family
+from .errors import DifferentAlgebras, DimensionTooSmall, UnsupportedFamily
 from .fields import QQ, Field
 from .gradings import Grading, _coarsenings, trivial_grading, universal_grading
 from .groups import AbelianGroup
@@ -52,10 +52,6 @@ HYPOTHESES = ("e1_homog", "e1_e2_homog")
 #: the weakest hypothesis under which each family's gradings are all
 #: coarsenings of its universal grading
 FAMILY_HYPOTHESIS = {"nf": "e1_homog", "f1": "e1_e2_homog", "f2": "e1_homog"}
-
-#: families whose grading classification is built in
-CATALOG_FAMILIES = ("nf", "f1", "f2")
-
 
 class CatalogEntry(NamedTuple):
     """One instantiated grading from a classification list."""
@@ -172,7 +168,7 @@ def catalog(family: str, n: int, field: Field = QQ) -> list[CatalogEntry]:
         raise UnsupportedFamily(f"no grading catalog for family {family!r}")
     builder, min_dim = _CATALOG_BUILDERS[family]
     if n < min_dim:
-        raise BadDimension(f"catalog for {family!r} needs dimension >= {min_dim}")
+        raise DimensionTooSmall(f"catalog for {family!r} needs dimension >= {min_dim}")
     return builder(make_family(family, n, field))
 
 
@@ -206,8 +202,6 @@ class EnumerationReport(NamedTuple):
     expected: tuple[CatalogEntry, ...]
     missing: tuple[CatalogEntry, ...]
     extra: tuple[Grading, ...]
-    #: expected entries that land in one equivalence class together
-    collapsed: tuple[tuple[CatalogEntry, ...], ...]
 
     @property
     def ok(self) -> bool:
@@ -233,17 +227,11 @@ def compare(found, expected) -> EnumerationReport:
         g for key, g in sorted(zip(found_keys, found), key=lambda pair: pair[0])
         if key not in expected_set
     )
-    by_class: dict[tuple, list] = {}
-    for e, key in zip(expected, expected_keys):
-        by_class.setdefault(key, []).append(e)
-    collapsed = tuple(
-        tuple(group) for _, group in sorted(by_class.items()) if len(group) > 1
-    )
-    return EnumerationReport(found, expected, missing, extra, collapsed)
+    return EnumerationReport(found, expected, missing, extra)
 
 
-def lift_direct_sum_gradings(grading: Grading, summand: Algebra) -> list[Grading]:
-    """Gradings of A + B induced by a grading of A and a line B.
+def lift_direct_sum_gradings(grading: Grading) -> list[Grading]:
+    """Gradings of A + B induced by a grading of A, B the abelian line over A's field.
 
     Rule (1) keeps the group and adds the new vector to an existing
     component (one lift per support degree) or, when the group has an
@@ -253,9 +241,7 @@ def lift_direct_sum_gradings(grading: Grading, summand: Algebra) -> list[Grading
     that isolates the new vector in degree (1, 0, ..., 0).
     """
     alg = grading.algebra
-    if summand.dim != 1 or summand.sc:
-        raise ValueError("the summand must be a one-dimensional abelian algebra")
-    big = direct_sum(alg, summand)
+    big = direct_sum(alg, abelian_algebra(1, alg.field))
     group = grading.group
     support = set(grading.support())
     out = []

@@ -17,10 +17,6 @@ class DimensionTooSmall(GradedLeibnizError, ValueError):
     """Raised when a construction needs a larger dimension than requested."""
 
 
-# The catalog rejects out-of-range dimensions with the same class.
-BadDimension = DimensionTooSmall
-
-
 class QnOddDimension(GradedLeibnizError, ValueError):
     """Raised when the even-dimensional Lie family is requested with odd dimension."""
 

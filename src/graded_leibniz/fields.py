@@ -72,10 +72,6 @@ class Field:
     def __hash__(self):
         return hash((self.p,))
 
-    @property
-    def kind(self) -> str:
-        return "Q" if self.p is None else "Fp"
-
     def __repr__(self):
         return "Q" if self.p is None else f"F{self.p}"
 
@@ -208,7 +204,3 @@ class Scalar:
         if self.field.p is None:
             return f"{self.value.numerator}/{self.value.denominator}"
         return self.value
-
-    @staticmethod
-    def from_json(field: Field, doc) -> "Scalar":
-        return field.scalar(doc)

@@ -99,16 +99,6 @@ class Grading:
             "degrees": [list(d.coords) for d in self.degrees],
         }
 
-    @staticmethod
-    def from_json(algebra: Algebra, doc: dict) -> "Grading":
-        group = AbelianGroup.from_json(doc["group"])
-        degrees = doc["degrees"]
-        # exact types: element() would truncate 1.5, and a bare int is no coordinate list
-        if type(degrees) is not list or any(
-                type(c) is not list or any(type(x) is not int for x in c) for c in degrees):
-            raise ValueError(f"degrees {degrees!r} are not lists of int coordinates")
-        return Grading(algebra, group, tuple(group.element(c) for c in degrees))
-
 
 def trivial_grading(algebra: Algebra) -> Grading:
     g = AbelianGroup()

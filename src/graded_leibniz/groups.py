@@ -92,10 +92,6 @@ class AbelianGroup:
         return {"rank": self.free_rank, "torsion": list(self.torsion)}
 
     @staticmethod
-    def from_json(doc: dict) -> "AbelianGroup":
-        return AbelianGroup(doc["rank"], doc["torsion"])
-
-    @staticmethod
     def parse(name: str) -> "AbelianGroup":
         """Parse CLI group names: 'trivial', 'Z', 'Z6', 'ZxZ3', 'ZxZxZ2', ...
 

@@ -231,7 +231,3 @@ class Subspace:
     @staticmethod
     def full(field: Field, n: int) -> "Subspace":
         return Subspace(field, n, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(field: Field, n: int) -> "Subspace":
-        return Subspace(field, n, [])

@@ -45,9 +45,10 @@ ends a prefix as soon as a column falls in the span of those before it,
 since every completion is then singular.  It also confines each column
 to the characteristic subspaces of its basis vector: an automorphism f
 maps each of the subspaces built from the bracket alone (lower central
-series terms, annihilators, center, span of squares) onto itself, and f
-is a bijection, so f(e_d) lies in such a subspace S exactly when e_d
-does (Eick, Linear Algebra Appl. 382, 2004).  The columns a subspace
+series terms and the two annihilators) onto itself, and f is a
+bijection, so f(e_d) lies in such a subspace S exactly when e_d does
+(Eick, Linear Algebra Appl. 382, 2004).  The center, their intersection,
+would add no cut (see _characteristic_subspaces).  The columns a subspace
 excludes from a coset are solved for once, not tested one by one, and
 the walk recurses once per unforced column: the forced columns that
 follow one are placed in a loop.
@@ -312,19 +313,19 @@ def _characteristic_subspaces(alg: Algebra) -> dict[str, tuple[tuple[int, ...], 
 
     Each is defined by the bracket alone, so any f with f[x, y] = [fx, fy]
     carries it onto itself: the lower central series terms L^k (k >= 2,
-    listed until zero or stable), the left annihilator {x : [x, L] = 0},
-    the right annihilator {x : [L, x] = 0}, the center (both), and the span
-    of squares [x, x], which polarization makes the span of the [e_i, e_i]
-    and [e_i, e_j] + [e_j, e_i].  Each subspace S is given as the reduced
-    rows E of a system over F_p whose solutions are S: x in S iff E x = 0.
+    listed until zero or stable), the left annihilator {x : [x, L] = 0} and
+    the right annihilator {x : [L, x] = 0}.  Each subspace S is given as
+    the reduced rows E of a system over F_p whose solutions are S: x in S
+    iff E x = 0.
+
+    The center, the intersection of the two annihilators, is left out: it
+    cuts nothing they do not.  If e_d lies in the center it lies in both,
+    so column d is already confined to their intersection; otherwise e_d
+    misses one annihilator A, and avoiding A avoids the center inside it.
+    An annihilator that is 0 or all of L is skipped by the walk, and then
+    the center is 0 too, or equals the other annihilator.
     """
-    p, n, sc = alg.field.p, alg.dim, alg.sc
-    vectors = {}
-    for key, terms in sc.items():
-        v = vectors[key] = [0] * n
-        for k, c in terms:
-            v[k - 1] = c
-    zero = [0] * n
+    p, n = alg.field.p, alg.dim
     # L^2, L^3, ...; a series that stabilizes ends on a repeat of its last
     # term, the non-nilpotency witness, which names nothing new
     terms = lower_central_series(alg)[1:]
@@ -334,11 +335,6 @@ def _characteristic_subspaces(alg: Algebra) -> dict[str, tuple[tuple[int, ...], 
     left, right = _annihilator_systems(alg)
     out["left annihilator"] = _reduced(left, p)
     out["right annihilator"] = _reduced(right, p)
-    out["center"] = _reduced(left + right, p)
-    squares = [vectors.get((i, i), zero) for i in range(1, n + 1)]
-    squares += [[x + y for x, y in zip(vectors.get((i, j), zero), vectors.get((j, i), zero))]
-                for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    out["squares"] = _span_equations(squares, n, p)
     return out
 
 

@@ -337,7 +337,7 @@ def _direct_sum(n):
     structure_ok = total.same_structure(f2)
     lifted = []
     for entry in catalog("nf", n - 1):
-        lifted.extend(lift_direct_sum_gradings(entry.grading, line))
+        lifted.extend(lift_direct_sum_gradings(entry.grading))
     report = compare(lifted, catalog("f2", n))
     return structure_ok and report.ok, {
         "structure_equal": structure_ok,

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from graded_leibniz import (
     AbelianGroup,
-    BadDimension,
     DifferentAlgebras,
+    DimensionTooSmall,
     Field,
     Grading,
     UnsupportedFamily,
@@ -89,9 +89,9 @@ def test_f2_catalog_tail_classes():
 def test_catalog_guards():
     with pytest.raises(UnsupportedFamily):
         catalog("lie_l", 4)
-    with pytest.raises(BadDimension):
+    with pytest.raises(DimensionTooSmall):
         catalog("f1", 2)
-    with pytest.raises(BadDimension):
+    with pytest.raises(DimensionTooSmall):
         catalog("nf", 1)
 
 
@@ -179,7 +179,6 @@ def test_compare_collapsed_classes():
     found = enumerate_h1_gradings(alg, "e1_homog", default_group_menu(4))
     report = compare(found, doubled)
     assert report.ok
-    assert len(report.collapsed) == 1 and len(report.collapsed[0]) == 2
 
 
 # -- direct-sum lifts ---------------------------------------------------------
@@ -188,7 +187,7 @@ def test_compare_collapsed_classes():
 def test_lift_z_chain_rule_one():
     base = make_family("nf", 3)
     _, chain = universal_grading(base)
-    lifts = lift_direct_sum_gradings(chain, abelian_algebra(1))
+    lifts = lift_direct_sum_gradings(chain)
     degs = {tuple(d.coords[0] for d in g.degrees) for g in lifts if g.group == Z}
     # the new vector can join each existing degree or take a fresh one
     assert (1, 2, 3, 1) in degs
@@ -200,7 +199,7 @@ def test_lift_z_chain_rule_one():
 def test_lift_rule_two_extends_group():
     base = make_family("nf", 3)
     g = trivial_grading(base)
-    lifts = lift_direct_sum_gradings(g, abelian_algebra(1))
+    lifts = lift_direct_sum_gradings(g)
     # trivial group has no unused element, so: 1 join + 1 extension
     assert len(lifts) == 2
     joined, extended = lifts
@@ -214,36 +213,25 @@ def test_lift_torsion_grading():
     base = make_family("nf", 4)
     z2 = AbelianGroup(0, (2,))
     g = Grading(base, z2, tuple(z2.element((j % 2,)) for j in range(1, 5)))
-    lifts = lift_direct_sum_gradings(g, abelian_algebra(1))
+    lifts = lift_direct_sum_gradings(g)
     # both residues are occupied: two joins plus the group extension
     assert len(lifts) == 3
     assert lifts[2].group == AbelianGroup(1, (2,))
     assert lifts[2].degrees[-1].coords == (1, 0)
 
 
-def test_lift_validates_summand():
-    g = trivial_grading(make_family("nf", 3))
-    with pytest.raises(ValueError):
-        lift_direct_sum_gradings(g, abelian_algebra(2))
-    with pytest.raises(ValueError):
-        lift_direct_sum_gradings(g, make_family("nf", 2))
-
-
 def test_lifted_gradings_are_valid():
-    base = make_family("nf", 4)
-    summand = abelian_algebra(1)
     for entry in catalog("nf", 4):
-        for lift in lift_direct_sum_gradings(entry.grading, summand):
+        for lift in lift_direct_sum_gradings(entry.grading):
             assert lift.algebra.same_structure(make_family("f2", 5))
             assert verify_grading(lift).ok
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_lifts_cover_f2_catalog(n):
-    summand = abelian_algebra(1)
     lifted = []
     for entry in catalog("nf", n - 1):
-        lifted.extend(lift_direct_sum_gradings(entry.grading, summand))
+        lifted.extend(lift_direct_sum_gradings(entry.grading))
     report = compare(lifted, catalog("f2", n))
     assert not report.missing, [e.label for e in report.missing]
 
@@ -253,6 +241,6 @@ def test_lifts_cover_f2_catalog(n):
 def test_random_catalog_entry_lifts_verify(n, pick):
     entries = catalog("nf", n - 1)
     entry = entries[pick % len(entries)]
-    for lift in lift_direct_sum_gradings(entry.grading, abelian_algebra(1)):
+    for lift in lift_direct_sum_gradings(entry.grading):
         assert verify_grading(lift).ok
         assert lift.algebra.same_structure(direct_sum(make_family("nf", n - 1), abelian_algebra(1)))

@@ -73,8 +73,8 @@ def test_field_rejects_composite_modulus():
 
 
 def test_field_repr_and_kind():
-    assert repr(QQ) == "Q" and QQ.kind == "Q"
-    assert repr(Field(5)) == "F5" and Field(5).kind == "Fp"
+    assert repr(QQ) == "Q" and QQ.to_json() == {"kind": "Q"}
+    assert repr(Field(5)) == "F5" and Field(5).to_json() == {"kind": "Fp", "p": 5}
 
 
 def test_scalar_coercion():
@@ -145,10 +145,9 @@ def test_json_round_trip():
     for field in (QQ, Field(2), Field(97)):
         assert Field.from_json(field.to_json()) == field
     s = QQ.scalar("-7/3")
-    assert Scalar.from_json(QQ, s.to_json()) == s
+    assert QQ.scalar(s.to_json()) == s
     t = Field(5).scalar(3)
     assert t.to_json() == 3
-    assert Scalar.from_json(Field(5), 3) == t
 
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)

@@ -114,14 +114,6 @@ def test_partition_is_computed_once(monkeypatch, family, n):
         assert first == tuple(_blocks(d.coords for d in g.degrees).values())
 
 
-def test_grading_json_round_trip():
-    alg = make_family("f1", 4)
-    g = Grading(alg, AbelianGroup(1, (2,)), tuple(
-        AbelianGroup(1, (2,)).element(c) for c in [(0, 1), (1, 0), (1, 1), (2, 0)]
-    ))
-    assert Grading.from_json(alg, g.to_json()) == g
-
-
 def test_universal_grading_nf():
     for n in range(2, 9):
         group, g = universal_grading(make_family("nf", n))
@@ -226,21 +218,6 @@ def test_partition_refuses_what_is_not_a_partition(partition):
     # would merge the repeated one; an empty block has no least index
     with pytest.raises(ValueError):
         universal_grading(make_family("nf", 3), partition)
-
-
-def test_grading_from_json_refuses_non_int_degrees():
-    alg = make_family("nf", 2)
-    doc = z_grading(alg, [1, 2]).to_json()
-    for bad in ([1.5], [True], ["1"]):
-        # element() would truncate 1.5 to 1
-        with pytest.raises(ValueError):
-            Grading.from_json(alg, dict(doc, degrees=[bad, [2]]))
-    # degrees that are not a list of coordinate lists
-    for bad in ([1, 2], [[1], None], 12):
-        with pytest.raises(ValueError):
-            Grading.from_json(alg, dict(doc, degrees=bad))
-    with pytest.raises(ValueError):
-        Grading.from_json(alg, dict(doc, group={"rank": 1, "torsion": 2}))
 
 
 def test_coarsen_chain_to_parity():

@@ -79,7 +79,7 @@ def test_subspace_contains_and_reduce():
 
 def test_subspace_full_zero():
     assert Subspace.full(QQ, 4).dim == 4
-    z = Subspace.zero(QQ, 4)
+    z = Subspace(QQ, 4, [])
     assert z.dim == 0 and z.is_zero()
     assert z.contains([0] * 4)
 

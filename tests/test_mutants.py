@@ -77,7 +77,7 @@ MUTANTS = [
                  {5}, (5, "normalizer-equals-torus", "nf", 3, "F5"), id="torus-weights-doubled"),
     pytest.param(verification, "universal_grading", doubled_degrees,
                  {6}, (6, "toral-table-generic-order", "nf", 3, "Q"), id="toral-base-doubled"),
-    pytest.param(verification, "lift_direct_sum_gradings", lambda orig: lambda grading, summand: [],
+    pytest.param(verification, "lift_direct_sum_gradings", lambda orig: lambda grading: [],
                  {8}, (8, "direct-sum-lift", "f2", 4, "Q"), id="lift_direct_sum_gradings-empty"),
     # every criterion 4 walk reports pruned 0, so no claim reaches a
     # dependent column; tests/test_torus.py::test_walk_counters_by_hand

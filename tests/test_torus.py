@@ -594,9 +594,13 @@ def test_coset_outside_matches_reference(case):
         (make_family("nf", 5, F3), (162, 811, 648, 0)),
         (make_family("f1", 4, F5), (2_000, 6_021, 4_000, 0)),
         (make_family("f1", 5, F3), (324, 1_303, 972, 0)),
+        # f2, whose left annihilator is its center: the right annihilator
+        # cuts here, and the walk without it reaches 499 and 1,669 nodes
+        (make_family("f2", 4, F3), (324, 487, 108, 0)),
+        (make_family("f2", 5, F3), (972, 1_621, 486, 0)),
     ],
     ids=["abelian-F2", "dependent-forced-F3", "lie_l-4-F3", "lie_q-4-F3",
-         "nf-4-F5", "nf-5-F3", "f1-4-F5", "f1-5-F3"],
+         "nf-4-F5", "nf-5-F3", "f1-4-F5", "f1-5-F3", "f2-4-F3", "f2-5-F3"],
 )
 def test_walk_counters_by_hand(alg, counts):
     report = brute_force_aut(alg, budget=alg.field.p ** (alg.dim ** 2))
@@ -640,8 +644,7 @@ def defined_subspaces(alg):
         term, k = nxt, k + 1
     left = {x for x in space if all(raw_bracket(alg, x, y) == zero for y in space)}
     right = {x for x in space if all(raw_bracket(alg, y, x) == zero for y in space)}
-    out.update({"left annihilator": left, "right annihilator": right, "center": left & right})
-    out["squares"] = span_of([raw_bracket(alg, x, x) for x in space], p, n)
+    out.update({"left annihilator": left, "right annihilator": right})
     return out
 
 
@@ -650,7 +653,7 @@ def defined_subspaces(alg):
 @example(Algebra(3, F3, {(2, 1): [(3, 1)]}))
 # not nilpotent: L^2 = L^3 = span(e1)
 @example(Algebra(2, F3, {(1, 1): [(1, 1)]}))
-# antisymmetric, so the span of squares is 0 while L^2 = span(e3)
+# antisymmetric: L^2 and both annihilators are span(e3)
 @example(Algebra(3, F3, {(1, 2): [(3, 1)], (2, 1): [(3, 2)]}))
 @example(Algebra(3, Field(2), {}))
 @settings(max_examples=60, deadline=None)
