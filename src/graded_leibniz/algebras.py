@@ -117,11 +117,18 @@ class Algebra:
     def from_json(doc: dict) -> "Algebra":
         field = Field.from_json(doc["field"])
         sc = {}
-        for entry in doc["sc"]:
+        entries = doc["sc"]
+        # iterating "" or {} would read as no constants
+        if not isinstance(entries, list):
+            raise ValueError(f"sc {entries!r} is not a list of entries")
+        for entry in entries:
             key = (entry["i"], entry["j"])
             if key in sc:
                 raise ValueError(f"duplicate structure constant entry for {key}")
-            sc[key] = [(t["k"], t["c"]) for t in entry["terms"]]
+            terms = entry["terms"]
+            if not isinstance(terms, list):
+                raise ValueError(f"terms {terms!r} of entry {key} are not a list")
+            sc[key] = [(t["k"], t["c"]) for t in terms]
         alg = Algebra(doc["dim"], field, sc)
         label = doc.get("label", "custom")
         try:  # a family label stands only on that family's own constants

@@ -198,7 +198,6 @@ def enumerate_h1_gradings(alg: Algebra, hypothesis: str, group_menu) -> list[Gra
 
 
 class EnumerationReport(NamedTuple):
-    found: tuple[Grading, ...]
     expected: tuple[CatalogEntry, ...]
     missing: tuple[CatalogEntry, ...]
     extra: tuple[Grading, ...]
@@ -227,27 +226,25 @@ def compare(found, expected) -> EnumerationReport:
         g for key, g in sorted(zip(found_keys, found), key=lambda pair: pair[0])
         if key not in expected_set
     )
-    return EnumerationReport(found, expected, missing, extra)
+    return EnumerationReport(expected, missing, extra)
 
 
 def lift_direct_sum_gradings(grading: Grading) -> list[Grading]:
     """Gradings of A + B induced by a grading of A, B the abelian line over A's field.
 
     Rule (1) keeps the group and adds the new vector to an existing
-    component (one lift per support degree) or, when the group has an
-    unused degree, to a fresh singleton component (one canonical lift:
-    the first unused element in enumeration order; any other choice is
-    equivalent to it).  Rule (2) extends the group by a free factor
-    that isolates the new vector in degree (1, 0, ..., 0).
+    component (one lift per support degree, in order of least basis
+    index) or, when the group has an unused degree, to a fresh singleton
+    component (one canonical lift: the first unused element in
+    enumeration order; any other choice is equivalent to it).  Rule (2)
+    extends the group by a free factor that isolates the new vector in
+    degree (1, 0, ..., 0).
     """
     alg = grading.algebra
     big = direct_sum(alg, abelian_algebra(1, alg.field))
     group = grading.group
-    support = set(grading.support())
-    out = []
-    for component in grading.components():
-        h = component[0]
-        out.append(Grading(big, group, grading.degrees + (h,)))
+    support = dict.fromkeys(grading.degrees)  # in order of least basis index
+    out = [Grading(big, group, grading.degrees + (h,)) for h in support]
     fresh = next(
         (g for g in group.elements(free_bound=alg.dim + 1) if g not in support), None
     )

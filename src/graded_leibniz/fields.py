@@ -108,12 +108,6 @@ class Field:
     def one(self) -> "Scalar":
         return self.scalar(1)
 
-    def units(self):
-        """All nonzero elements; only available for prime fields."""
-        if self.p is None:
-            raise ValueError("the rationals have infinitely many units")
-        return [self.scalar(v) for v in range(1, self.p)]
-
     def to_json(self) -> dict:
         if self.p is None:
             return {"kind": "Q"}

@@ -14,6 +14,9 @@ grading factors through the universal grading of its partition, which
 turns exhaustive grading searches into searches over homomorphisms, or,
 for every group at once, over the lattices spanned by differences of the
 universal degrees (`homogeneous_partitions`).
+
+A grading's components are listed in order of their least basis index,
+both by `Grading.partition` and in its repr.
 """
 
 from __future__ import annotations
@@ -65,19 +68,6 @@ class Grading:
             self._partition = tuple(_blocks(d.coords for d in self.degrees).values())
         return self._partition
 
-    def components(self) -> list[tuple[GroupElem, tuple[int, ...]]]:
-        """(degree, indices) pairs in canonical support order.
-
-        Degrees sort by element order (finite first, ascending), then
-        coordinates; ties break on the least contained basis index.
-        """
-        items = list(_blocks(self.degrees).items())
-        items.sort(key=lambda pair: (pair[0].order_key(), pair[1][0]))
-        return items
-
-    def support(self) -> list[GroupElem]:
-        return [d for d, _ in self.components()]
-
     def __eq__(self, other):
         return (
             isinstance(other, Grading)
@@ -89,7 +79,7 @@ class Grading:
     def __repr__(self):
         chunks = [
             "<" + ",".join(f"e{i}" for i in ids) + f">_{deg!r}"
-            for deg, ids in self.components()
+            for deg, ids in _blocks(self.degrees).items()
         ]
         return f"Grading({self.group.describe()}: " + " + ".join(chunks) + ")"
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from math import gcd, lcm
 
 from .errors import GroupMismatch, InconsistentHomomorphism
 
@@ -53,11 +52,11 @@ class AbelianGroup:
     def ngens(self) -> int:
         return self.free_rank + len(self.torsion)
 
-    def is_trivial(self) -> bool:
-        return self.ngens == 0
-
     def _reduce(self, coords) -> tuple[int, ...]:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
+        for c in coords:  # exact types, as for ranks and factors
+            if type(c) is not int:
+                raise ValueError(f"coordinate {c!r} is not an int")
         if len(coords) != self.ngens:
             raise ValueError(f"expected {self.ngens} coordinates, got {len(coords)}")
         free = coords[: self.free_rank]
@@ -152,21 +151,6 @@ class GroupElem:
 
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def order(self) -> int | None:
-        """Element order; None means infinite."""
-        r = self.group.free_rank
-        if any(self.coords[:r]):
-            return None
-        n = 1
-        for c, m in zip(self.coords[r:], self.group.torsion):
-            n = lcm(n, m // gcd(c, m))
-        return n
-
-    def order_key(self) -> tuple:
-        """Sort key: finite orders first (ascending), then coords."""
-        o = self.order()
-        return (1, 0, self.coords) if o is None else (0, o, self.coords)
 
     def __repr__(self):
         if self.group.ngens == 1:

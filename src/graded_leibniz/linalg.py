@@ -5,11 +5,12 @@ Q, ints in [0, p) over F_p.  Every elimination runs through one loop,
 `reduce_vector`, which reduces one vector against echelon rows built so
 far and can extend them by it (the automorphism walk's rank test and
 Subspace membership).  Over F_p an echelon row is 1 at its pivot; over Q
-its pivot entry need not be 1.  `rref` reduces a whole matrix on it: for
-Subspace, affine_solve, is_automorphism and the torus searches' systems
-(integer matrices are inverted in snf, on its Hermite loop).  Over Q it
-is fraction-free: it eliminates on integer rows divided by their content
-and builds Fractions only for the rows it returns.  Subspaces hold their
+its pivot entry need not be 1, and only integer rows are extended.
+`rref` reduces a whole matrix on it: for Subspace, affine_solve,
+is_automorphism and the torus searches' systems (integer matrices are
+inverted in snf, on its Hermite loop).  Over Q it is fraction-free: it
+eliminates on integer rows divided by their content and builds
+Fractions only for the rows it returns.  Subspaces hold their
 reduced row echelon basis as raw rows (Fractions over Q, 1 at each
 pivot), so subspace equality is plain row comparison.  Scalars appear
 only in `_values`, which checks a Scalar matrix's field and reads off its
@@ -80,11 +81,12 @@ def reduce_vector(rows: list[list], pivots: list[int], v,
     against rows that are 1 at their pivots (a Subspace basis) it is
     exactly v - sum v[c]*row.  With extend, a nonzero residue is appended
     to rows and the index of its first nonzero entry to pivots (so they
-    keep the form above), and returned: an all-int residue over Q divided
-    by its content with its leading entry made positive, any other scaled
-    to 1 there.  An int residue already led by 1 is appended as it is,
-    which may be v itself.  A zero residue appends nothing, so a caller
-    can read whether v was independent of the rows off their count.
+    keep the form above), and returned: over F_p scaled to 1 there, over
+    Q divided by its content with its leading entry made positive.
+    Extending over Q takes integer rows and v only, as rref passes them.
+    A residue already led by 1 is appended as it is, which may be v
+    itself.  A zero residue appends nothing, so a caller can read whether
+    v was independent of the rows off their count.
     """
     for row, c in zip(rows, pivots):
         f = v[c]
@@ -103,17 +105,13 @@ def reduce_vector(rows: list[list], pivots: list[int], v,
                 break
         else:  # zero, or empty: nothing to append
             return v
-        if p is not None:
-            if a != 1:
+        if a != 1:  # an int row led by 1 already is primitive
+            if p is not None:
                 inv = pow(a, -1, p)
                 v = [x * inv % p for x in v]
-        elif all(type(x) is int for x in v):
-            if a != 1:  # primitive, leading entry positive; a row led by 1 already is
+            else:  # primitive, leading entry positive
                 g = gcd(*v) if a > 0 else -gcd(*v)
                 v = [x // g for x in v]
-        else:
-            inv = 1 / Fraction(a)
-            v = [x * inv for x in v]
         rows.append(v)
         pivots.append(lead)
     return v

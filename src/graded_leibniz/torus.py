@@ -23,15 +23,16 @@ passing this test include N(T) within the family; when they are exactly
 the torus points, N(T) within the family is T.  Weights are compared as
 integers, not as torus values over F_p, where they collide for small p.
 
-aut_matrix_nf/aut_matrix_f1 are the only home of the family formulas,
-but they are not called once per parameter point: with the leading
-units fixed, every entry is affine in the other parameters, so n calls
-(the origin and each unit direction) fix the whole affine span, which is
-then walked on raw ints mod p.  The exhaustive search compares its
-automorphisms with the whole span.  The normalizer check builds only the
-matrices passing its test: the test is row by row, so the walk tests
-each row as soon as no later step can change it and cuts every matrix
-below a failing row.
+aut_matrix_nf(n, alpha, betas) and aut_matrix_f1(n, a1, an, b), with
+b = (b_2, ..., b_n), are the only home of the family formulas (the f1
+formulas need n >= 3), but they are not called once per parameter
+point: with the leading units fixed, every entry is affine in the other
+parameters, so n calls (the origin and each unit direction) fix the
+whole affine span, which is then walked on raw ints mod p.  The
+exhaustive search compares its automorphisms with the whole span.  The
+normalizer check builds only the matrices passing its test: the test is
+row by row, so the walk tests each row as soon as no later step can
+change it and cuts every matrix below a failing row.
 
 The exhaustive automorphism search (brute_force_aut) inverts nothing.
 Its product constraints are compiled once per search into per-depth
@@ -83,34 +84,25 @@ DEFAULT_BUDGET = 50_000_000
 TORUS_FAMILIES = ("nf", "f1")
 
 
-class AutParamsNF(NamedTuple):
-    """alpha invertible; betas = (beta_1, ..., beta_{n-1})."""
-
-    alpha: Scalar
-    betas: tuple[Scalar, ...]
-
-
-class AutParamsF1(NamedTuple):
-    """a1, b[0] (= b_2) invertible; b = (b_2, ..., b_n)."""
-
-    a1: Scalar
-    an: Scalar
-    b: tuple[Scalar, ...]
+def _check_f1_dimension(n: int) -> None:
+    """f1 of dimension 2 is abelian, so its Aut is all of GL_2: the f1
+    family presupposes the chain relation of dimension >= 3."""
+    if n < 3:
+        raise DimensionTooSmall(f"the f1 automorphism family needs dimension >= 3, got {n}")
 
 
 def family_counts(family: str, n: int, p: int) -> tuple[int, int]:
     """(|Aut|, |torus|) over F_p: (p-1)^r p^(n-1) and (p-1)^r with torus rank r.
 
     The ranks are written out, not read off the universal grading, so the
-    searches are checked against a formula they do not share.  f1 of
-    dimension 2 is abelian, so its Aut is all of GL_2 and neither formula
-    holds: the f1 family presupposes the chain relation of dimension >= 3.
+    searches are checked against a formula they do not share.  Neither
+    formula holds for f1 below dimension 3 (_check_f1_dimension).
     """
     ranks = {"nf": 1, "f1": 2}
     if family not in ranks:
         raise UnsupportedFamily(f"no automorphism count formula for {family!r}")
-    if family == "f1" and n < 3:
-        raise DimensionTooSmall(f"the f1 automorphism family needs dimension >= 3, got {n}")
+    if family == "f1":
+        _check_f1_dimension(n)
     torus = (p - 1) ** ranks[family]
     return torus * p ** (n - 1), torus
 
@@ -118,16 +110,16 @@ def family_counts(family: str, n: int, p: int) -> tuple[int, int]:
 # -- parametrized automorphisms -------------------------------------------
 
 
-def aut_matrix_nf(n: int, params: AutParamsNF) -> list[list[Scalar]]:
-    """Matrix (columns are images of e_1..e_n) of the nf automorphism."""
-    alpha = params.alpha
+def aut_matrix_nf(n: int, alpha: Scalar, betas) -> list[list[Scalar]]:
+    """Matrix (columns are images of e_1..e_n) of the nf automorphism with
+    alpha invertible and betas = (beta_1, ..., beta_{n-1})."""
     if not alpha:
         raise ZeroParameter("alpha must be invertible")
-    if len(params.betas) != n - 1:
+    if len(betas) != n - 1:
         raise ValueError(f"expected {n - 1} beta parameters")
     field = alpha.field
     # c_1 = alpha and c_m = beta_{n+1-m} / alpha^(n-m) give f(e_1) = sum c_k e_k.
-    c = [alpha] + [params.betas[n - m] * alpha ** (m - n) for m in range(2, n + 1)]
+    c = [alpha] + [betas[n - m] * alpha ** (m - n) for m in range(2, n + 1)]
     zero = field.zero()
     m = [[zero] * n for _ in range(n)]
     for i in range(1, n + 1):
@@ -137,12 +129,13 @@ def aut_matrix_nf(n: int, params: AutParamsNF) -> list[list[Scalar]]:
     return m
 
 
-def aut_matrix_f1(n: int, params: AutParamsF1) -> list[list[Scalar]]:
-    """Matrix (columns are images of e_1..e_n) of the f1 automorphism."""
-    a1, an = params.a1, params.an
-    if len(params.b) != n - 1:
+def aut_matrix_f1(n: int, a1: Scalar, an: Scalar, b) -> list[list[Scalar]]:
+    """Matrix (columns are images of e_1..e_n) of the f1 automorphism with
+    a1 and b[0] (= b_2) invertible and b = (b_2, ..., b_n); n >= 3."""
+    _check_f1_dimension(n)
+    if len(b) != n - 1:
         raise ValueError(f"expected {n - 1} b parameters")
-    if not a1 or not params.b[0]:
+    if not a1 or not b[0]:
         raise ZeroParameter("a_1 and b_2 must be invertible")
     field = a1.field
     zero = field.zero()
@@ -152,7 +145,7 @@ def aut_matrix_f1(n: int, params: AutParamsF1) -> list[list[Scalar]]:
     for i in range(2, n + 1):
         lead = a1 ** (i - 2)
         for k in range(i, n + 1):
-            m[k - 1][i - 1] = lead * params.b[k - i]
+            m[k - 1][i - 1] = lead * b[k - i]
     return m
 
 
@@ -197,7 +190,8 @@ def _family_param_space(alg: Algebra, keep=None, calls: list | None = None,
                         budget: int | None = None):
     """All (family parametrization) automorphism matrices over F_p, as
     int tuples, keyed and deduplicated by matrix.  None when the family
-    has no stored parametrization.
+    has no stored parametrization, or f1 is below dimension 3, where its
+    formulas do not hold (_check_f1_dimension).
 
     Once the leading units are fixed (alpha for nf; a_1 and b_2 for f1),
     every entry of aut_matrix_nf/aut_matrix_f1 is affine in the other
@@ -220,6 +214,11 @@ def _family_param_space(alg: Algebra, keep=None, calls: list | None = None,
     field = alg.field
     p = field.p
     n = alg.dim
+    if alg.label == "f1":
+        try:
+            _check_f1_dimension(n)
+        except DimensionTooSmall:
+            return None
     # lazily: a walk cut by its budget leaves the rest unbuilt
     units = map(field.scalar, range(1, p))
     zero, one = field.zero(), field.one()
@@ -228,11 +227,10 @@ def _family_param_space(alg: Algebra, keep=None, calls: list | None = None,
         tuple(one if i == j else zero for i in range(n - 1)) for j in range(n - 1)
     ]
     if alg.label == "nf":
-        evaluations = ([aut_matrix_nf(n, AutParamsNF(alpha, q)) for q in points]
-                       for alpha in units)
+        evaluations = ([aut_matrix_nf(n, alpha, q) for q in points] for alpha in units)
     else:
         units = list(units)  # a1 and b2 each run over every unit
-        evaluations = ([aut_matrix_f1(n, AutParamsF1(a1, q[0], (b2,) + q[1:])) for q in points]
+        evaluations = ([aut_matrix_f1(n, a1, q[0], (b2,) + q[1:]) for q in points]
                        for a1 in units for b2 in units)
     matrices = set()
     spent = 0

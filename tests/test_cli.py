@@ -285,11 +285,13 @@ def test_f1_family_below_dimension_three_exits_two(capsys, verb):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_f1_brute_force_below_dimension_three_reports_the_mismatch(capsys):
+def test_f1_brute_force_below_dimension_three_has_no_family(capsys):
+    # the f1 formulas need dimension >= 3: there is no family to match,
+    # not a mismatch with the 12 matrices they would give
     code, doc = run_json(
         capsys, "aut-count", "--family", "f1", "--dim", "2", "--field", "F3", "--brute-force"
     )
-    assert code == 1 and doc["count"] == 48 and doc["matches_family"] is False
+    assert code == 0 and doc["count"] == 48 and doc["matches_family"] is None
 
 
 def test_export_import_round_trip(capsys, tmp_path):
@@ -517,6 +519,13 @@ def _one_constant_doc(c, dim="2", field='{"kind": "Q"}', k="2"):
     pytest.param(_one_constant_doc("1", dim="2.5"), id="float-dim"),
     pytest.param(_one_constant_doc("true"), id="bool-c"),
     pytest.param(_one_constant_doc("1", k="2.0"), id="float-target"),
+    # "" and {} iterate as no constants, which read as the abelian algebra
+    pytest.param('{"dim": 2, "field": {"kind": "Q"}, "sc": ""}', id="sc-empty-string"),
+    pytest.param('{"dim": 2, "field": {"kind": "Q"}, "sc": {}}', id="sc-empty-dict"),
+    pytest.param('{"dim": 2, "field": {"kind": "Q"}, "sc": [{"i": 1, "j": 1, "terms": ""}]}',
+                 id="terms-empty-string"),
+    pytest.param('{"dim": 2, "field": {"kind": "Q"}, "sc": [{"i": 1, "j": 1, "terms": {}}]}',
+                 id="terms-empty-dict"),
 ])
 def test_bad_constants_exit_two(capsys, tmp_path, text):
     path = tmp_path / "bad.json"

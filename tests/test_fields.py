@@ -135,12 +135,6 @@ def test_division_by_zero_raises():
         Field(7).zero().inv()
 
 
-def test_units():
-    assert [s.value for s in Field(5).units()] == [1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        QQ.units()
-
-
 def test_json_round_trip():
     for field in (QQ, Field(2), Field(97)):
         assert Field.from_json(field.to_json()) == field

@@ -53,7 +53,7 @@ def test_trivial_grading_verifies():
     for family in ("nf", "f1", "lie_l"):
         g = trivial_grading(make_family(family, 5))
         assert verify_grading(g).ok
-        assert g.group.is_trivial()
+        assert g.group == AbelianGroup()
 
 
 def test_verify_accepts_chain_grading():
@@ -83,9 +83,6 @@ def test_partition_and_components():
         AbelianGroup(0, (2,)).element((j % 2,)) for j in range(1, 5)
     ))
     assert g.partition() == ((1, 3), (2, 4))
-    comps = g.components()
-    assert [ids for _, ids in comps] == [(2, 4), (1, 3)]  # identity degree first
-    assert [d.coords for d in g.support()] == [(0,), (1,)]
 
 
 @pytest.mark.parametrize("family, n", [("nf", 6), ("f1", 6), ("f2", 6)])

@@ -37,6 +37,13 @@ def test_group_refuses_non_int_rank_and_factors(rank, torsion):
         AbelianGroup(rank, torsion)
 
 
+@pytest.mark.parametrize("coords", [(2.5, True), ("3", 1.9), (1, True), (2.0, 0)])
+def test_element_refuses_non_int_coordinates(coords):
+    # int() would read (2.5, True) as (2, 1) and ("3", 1.9) as (3, 1)
+    with pytest.raises(ValueError):
+        AbelianGroup(1, (4,)).element(coords)
+
+
 def test_parse():
     assert AbelianGroup.parse("trivial") == AbelianGroup()
     assert AbelianGroup.parse("Z") == AbelianGroup(1)
@@ -62,14 +69,6 @@ def test_element_reduction_mod_torsion():
     assert (e + e).coords == (10, 2)
     assert (-e).coords == (-5, 1)
     assert (3 * g.element((0, 2))).coords == (0, 2)
-
-
-def test_element_order():
-    g = AbelianGroup(1, (6,))
-    assert g.element((1, 0)).order() is None
-    assert g.element((0, 2)).order() == 3
-    assert g.element((0, 5)).order() == 6
-    assert g.zero().order() == 1
 
 
 def test_elements_enumeration():
@@ -175,14 +174,6 @@ def test_apply_hom_rejects_foreign_image(problem, slot):
     coords = coords[:slot] + (coords[slot] or 1,) + coords[slot + 1 :]
     with pytest.raises(GroupMismatch):
         apply_hom(images, coords, target)
-
-
-@given(coords2)
-def test_order_key_sorts_finite_first(a):
-    g = AbelianGroup(1, (3,))
-    e = g.element(a)
-    key = e.order_key()
-    assert (key[0] == 1) == (e.order() is None)
 
 
 def test_all_homs_are_valid():

@@ -342,8 +342,9 @@ def rank(rows, p):
 @given(vectors_and_probe(), FIELDS)
 def test_reduce_vector_agrees_with_rref_rank_and_membership(case, p):
     _, vectors, probe = case
-    # reduce_vector takes raw values as Subspace holds them
-    *vectors, probe = ([Fraction(x) if p is None else x % p for x in v] for v in vectors + [probe])
+    # raw values as rref passes them to extend: ints over Q, reduced mod p
+    if p is not None:
+        vectors, probe = [[x % p for x in v] for v in vectors], [x % p for x in probe]
     rows, pivots = [], []
     for k, v in enumerate(vectors, start=1):
         grew = any(reduce_vector(rows, pivots, v, p, extend=True))
@@ -351,10 +352,14 @@ def test_reduce_vector_agrees_with_rref_rank_and_membership(case, p):
         assert grew == (rank(vectors[:k], p) > rank(vectors[:k - 1], p))
     # the rows keep the form reduce_vector asks for, and span the vectors
     for t, (row, c) in enumerate(zip(rows, pivots)):
-        assert row[c] == 1 and not any(row[b] for b in pivots[:t])
+        assert (row[c] == 1 if p else row[c] > 0) and not any(row[b] for b in pivots[:t])
     assert rref(rows, p) == rref(vectors, p)
     # the residue is zero exactly on the span, and differs from the probe by
-    # a vector of the span
+    # a vector of the span; over Q against rows 1 at their pivots, as
+    # Subspace holds them
+    if p is None:
+        rows, pivots = rref(rows)
+        probe = [Fraction(x) for x in probe]
     residue = reduce_vector(rows, pivots, probe, p)
     assert (not any(residue)) == (rank(vectors + [probe], p) == len(rows))
     assert rank(rows + [[x - y for x, y in zip(probe, residue)]], p) == len(rows)

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from graded_leibniz import (
     AbelianGroup,
     Algebra,
-    AutParamsF1,
-    AutParamsNF,
     BudgetExceeded,
     DimensionTooSmall,
     Field,
@@ -80,12 +78,12 @@ def test_weights_are_additive_on_products():
 
 
 def test_aut_matrix_nf_diagonal_case():
-    m = aut_matrix_nf(3, AutParamsNF(QQ.scalar(2), (QQ.zero(), QQ.zero())))
+    m = aut_matrix_nf(3, QQ.scalar(2), (QQ.zero(), QQ.zero()))
     assert values(m) == [[2, 0, 0], [0, 4, 0], [0, 0, 8]]
 
 
 def test_aut_matrix_nf_identity():
-    m = aut_matrix_nf(4, AutParamsNF(QQ.one(), (QQ.zero(),) * 3))
+    m = aut_matrix_nf(4, QQ.one(), (QQ.zero(),) * 3)
     assert values(m) == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
 
 
@@ -93,7 +91,7 @@ def test_aut_matrix_nf_general_entries():
     # alpha = 1 keeps the subdiagonal pattern legible: column 1 is
     # (1, beta_{n-1}, ..., beta_1) and column i repeats it shifted
     b1, b2, b3 = (QQ.scalar(v) for v in (3, 5, 7))
-    m = aut_matrix_nf(4, AutParamsNF(QQ.one(), (b1, b2, b3)))
+    m = aut_matrix_nf(4, QQ.one(), (b1, b2, b3))
     assert values(m) == [
         [1, 0, 0, 0],
         [7, 1, 0, 0],
@@ -104,15 +102,15 @@ def test_aut_matrix_nf_general_entries():
 
 def test_aut_matrix_nf_rejects_bad_params():
     with pytest.raises(ZeroParameter):
-        aut_matrix_nf(3, AutParamsNF(QQ.zero(), (QQ.one(), QQ.one())))
+        aut_matrix_nf(3, QQ.zero(), (QQ.one(), QQ.one()))
     with pytest.raises(ValueError):
-        aut_matrix_nf(3, AutParamsNF(QQ.one(), (QQ.one(),)))
+        aut_matrix_nf(3, QQ.one(), (QQ.one(),))
 
 
 def test_aut_matrix_f1_shape():
     a1, an = QQ.scalar(2), QQ.scalar(5)
     b = (QQ.scalar(3), QQ.scalar(4), QQ.scalar(6))
-    m = aut_matrix_f1(4, AutParamsF1(a1, an, b))
+    m = aut_matrix_f1(4, a1, an, b)
     assert values(m) == [
         [2, 0, 0, 0],
         [0, 3, 0, 0],
@@ -123,11 +121,11 @@ def test_aut_matrix_f1_shape():
 
 def test_aut_matrix_f1_rejects_bad_params():
     with pytest.raises(ZeroParameter):
-        aut_matrix_f1(3, AutParamsF1(QQ.zero(), QQ.one(), (QQ.one(), QQ.one())))
+        aut_matrix_f1(3, QQ.zero(), QQ.one(), (QQ.one(), QQ.one()))
     with pytest.raises(ZeroParameter):
-        aut_matrix_f1(3, AutParamsF1(QQ.one(), QQ.one(), (QQ.zero(), QQ.one())))
+        aut_matrix_f1(3, QQ.one(), QQ.one(), (QQ.zero(), QQ.one()))
     with pytest.raises(ValueError):
-        aut_matrix_f1(3, AutParamsF1(QQ.one(), QQ.one(), (QQ.one(),)))
+        aut_matrix_f1(3, QQ.one(), QQ.one(), (QQ.one(),))
 
 
 @given(
@@ -138,8 +136,7 @@ def test_aut_matrix_f1_rejects_bad_params():
 @settings(max_examples=80)
 def test_nf_parametrization_yields_automorphisms(n, alpha, betas):
     alg = make_family("nf", n, F5)
-    params = AutParamsNF(F5.scalar(alpha), tuple(F5.scalar(b) for b in betas[: n - 1]))
-    m = aut_matrix_nf(n, params)
+    m = aut_matrix_nf(n, F5.scalar(alpha), tuple(F5.scalar(b) for b in betas[: n - 1]))
     assert is_automorphism(alg, m)
 
 
@@ -154,7 +151,7 @@ def test_nf_parametrization_yields_automorphisms(n, alpha, betas):
 def test_f1_parametrization_yields_automorphisms(n, a1, an, b2, rest):
     alg = make_family("f1", n, F5)
     b = (F5.scalar(b2),) + tuple(F5.scalar(x) for x in rest[: n - 2])
-    m = aut_matrix_f1(n, AutParamsF1(F5.scalar(a1), F5.scalar(an), b))
+    m = aut_matrix_f1(n, F5.scalar(a1), F5.scalar(an), b)
     assert is_automorphism(alg, m)
 
 
@@ -168,8 +165,8 @@ def test_f1_parametrization_yields_automorphisms(n, a1, an, b2, rest):
 def test_nf_family_closed_under_composition(a1, a2, bs1, bs2):
     n = 4
     alg = make_family("nf", n, F5)
-    m1 = aut_matrix_nf(n, AutParamsNF(F5.scalar(a1), tuple(F5.scalar(b) for b in bs1)))
-    m2 = aut_matrix_nf(n, AutParamsNF(F5.scalar(a2), tuple(F5.scalar(b) for b in bs2)))
+    m1 = aut_matrix_nf(n, F5.scalar(a1), tuple(F5.scalar(b) for b in bs1))
+    m2 = aut_matrix_nf(n, F5.scalar(a2), tuple(F5.scalar(b) for b in bs2))
     prod = scal(F5, int_mat_mul(values(m1), values(m2)))
     assert is_automorphism(alg, prod)
     # composition stays in the family: same first-column/diagonal shape
@@ -291,14 +288,14 @@ def reference_family_space(alg):
     """Every family matrix over F_p as int row tuples, one aut_matrix_* call
     per parameter point: the per-point loop the affine span replaced."""
     field, p, n = alg.field, alg.field.p, alg.dim
-    units = field.units()
     everything = [field.scalar(v) for v in range(p)]
+    units = everything[1:]
     if alg.label == "nf":
-        matrices = (aut_matrix_nf(n, AutParamsNF(alpha, betas))
+        matrices = (aut_matrix_nf(n, alpha, betas)
                     for alpha in units
                     for betas in itertools.product(everything, repeat=n - 1))
     else:
-        matrices = (aut_matrix_f1(n, AutParamsF1(a1, an, (b2,) + rest))
+        matrices = (aut_matrix_f1(n, a1, an, (b2,) + rest)
                     for a1 in units for b2 in units for an in everything
                     for rest in itertools.product(everything, repeat=n - 2))
     return {tuple(tuple(row) for row in values(m)) for m in matrices}
@@ -835,7 +832,7 @@ def test_zero_pattern_accepts_a_swap_outside_the_centralizer():
 def test_zero_pattern_rejects_f1_matrix_with_nonzero_an():
     n = 5
     one, zero = F5.one(), F5.zero()
-    m = aut_matrix_f1(n, AutParamsF1(one, one, (one,) + (zero,) * (n - 2)))
+    m = aut_matrix_f1(n, one, one, (one,) + (zero,) * (n - 2))
     assert not _keeps_torus_diagonal(values(m), torus_weights(make_family("f1", n, F5)))
 
 
@@ -875,6 +872,10 @@ def test_normalizer_needs_f1_of_dimension_three():
         normalizer_equals_torus(make_family("f1", 2, F3))
     with pytest.raises(DimensionTooSmall):
         family_counts("f1", 2, 3)
+    with pytest.raises(DimensionTooSmall):
+        aut_matrix_f1(2, F3.one(), F3.one(), (F3.one(),))
+    # so the walk has no family to compare its 48 automorphisms with
+    assert _family_param_space(make_family("f1", 2, F3)) is None
 
 
 def test_normalizer_guards():
