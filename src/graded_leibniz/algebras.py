@@ -129,6 +129,10 @@ class Algebra:
             if not isinstance(terms, list):
                 raise ValueError(f"terms {terms!r} of entry {key} are not a list")
             sc[key] = [(t["k"], t["c"]) for t in terms]
+            # the constructor sums repeated targets, so k: c, k: -c would read as none
+            targets = [k for k, _ in sc[key]]
+            if len(set(targets)) < len(targets):
+                raise ValueError(f"entry {key} repeats a target k in its terms")
         alg = Algebra(doc["dim"], field, sc)
         label = doc.get("label", "custom")
         try:  # a family label stands only on that family's own constants

@@ -38,9 +38,11 @@ _FAMILY_FLAGS = {"nf": "nf", "f1": "f1", "f2": "f2", "lie-l": "lie_l", "lie-q": 
 
 #: measured rate for converting --budget-ms into walk steps, for both
 #: budgeted searches: a normalizer span-walk call took 2.6-3.7 µs over 2M
-#: calls at nf 3 mod 1000003, and brute_force_aut reached 167-229 nodes
-#: per ms on the four benchmark walks (nf 4 and f1 4 over F5, nf 5 and
-#: f1 5 over F3; 2-vCPU host, Python 3.11), so 250 per ms
+#: calls at nf 3 mod 1000003, so 250 per ms.  brute_force_aut, walking one
+#: automorphism per torus coset, reached 42-132 nodes per ms on the four
+#: benchmark walks (nf 4 and f1 4 over F5, nf 5 and f1 5 over F3; median
+#: of 40 runs each, 2-vCPU host, Python 3.11): fewer nodes now share the
+#: per-search cost of comparing with the family, most of f1 4 over F5's time
 WALK_CALLS_PER_MS = 250
 
 
@@ -162,6 +164,7 @@ def _cmd_aut_count(args):
         "elapsed_ms": elapsed,
     }
     if args.brute_force:
+        doc["torus_size"] = report.torus_size
         doc["nodes"] = report.nodes
         doc["forced"] = report.forced
         doc["pruned"] = report.pruned

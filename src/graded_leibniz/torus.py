@@ -29,10 +29,11 @@ formulas need n >= 3), but they are not called once per parameter
 point: with the leading units fixed, every entry is affine in the other
 parameters, so n calls (the origin and each unit direction) fix the
 whole affine span, which is then walked on raw ints mod p.  The
-exhaustive search compares its automorphisms with the whole span.  The
-normalizer check builds only the matrices passing its test: the test is
-row by row, so the walk tests each row as soon as no later step can
-change it and cuts every matrix below a failing row.
+exhaustive search compares its automorphisms with the span's matrices
+whose generator columns lead with 1 (see below).  The normalizer check
+builds only the matrices passing its test: the test is row by row, so
+the walk tests each row as soon as no later step can change it and cuts
+every matrix below a failing row.
 
 The exhaustive automorphism search (brute_force_aut) inverts nothing.
 Its product constraints are compiled once per search into per-depth
@@ -58,6 +59,16 @@ linalg.rref and the rank test from linalg.reduce_vector; the series
 comes from algebras, its terms already raw rows mod p.  Scalar matrices
 (the family formulas, is_automorphism's argument) are read into raw
 values once, by linalg._values.
+
+The search visits one automorphism per torus coset.  The torus T =
+Hom(U, K^x) of the universal grading lies in Aut, and it acts freely on
+Aut by f -> f t, which scales column i by the character of deg e_i.  When
+U is free of rank r and the degrees of unforced columns g_1..g_r form a
+basis of U, t -> (its characters on those degrees) is a bijection onto
+(K^x)^r, so each coset fT holds exactly one f whose columns g_1..g_r lead
+with 1 (first nonzero coordinate 1), and |Aut| = |T| times the number of
+such f.  Over F_2, for a torsion U or no universal grading, the walk
+visits every automorphism (_torus_generators).
 """
 
 from __future__ import annotations
@@ -76,8 +87,9 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import Scalar
-from .gradings import universal_grading
+from .gradings import universal_grading, verify_grading
 from .linalg import _values, affine_solve, reduce_vector, rref
+from .snf import int_matrix_inverse
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -172,13 +184,16 @@ def is_automorphism(alg: Algebra, m: list[list[Scalar]]) -> bool:
 
 
 class AutSearchReport(NamedTuple):
-    """count is the number of automorphisms found and nodes the number of
-    column prefixes the walk reached, the empty one and the leaves
-    included, whether reached by a call or by placing a forced column.
-    forced counts the columns computed from a forcing constraint and pruned
-    the candidate columns cut by the rank test or by a failed constraint."""
+    """count is the number of automorphisms, the torus_size of them per
+    automorphism the walk found (one per torus coset, or 1 when it walked
+    in full), and nodes the number of column prefixes the walk reached, the
+    empty one and the leaves included, whether reached by a call or by
+    placing a forced column.  forced counts the columns computed from a
+    forcing constraint and pruned the candidate columns cut by the rank
+    test or by a failed constraint."""
 
     count: int
+    torus_size: int
     all_in_family: bool | None
     elapsed_ms: int
     nodes: int
@@ -371,6 +386,42 @@ def _coset_outside(x0, basis, avoid, p: int) -> list[tuple[int, ...]]:
     return [x for i, x in enumerate(xs) if i not in excluded]
 
 
+def _torus_generators(alg: Algebra, unforced) -> list[int]:
+    """Depths g_1..g_r among `unforced` whose degrees in the universal
+    grading form a basis of its free group U = Z^r, or [] when the walk
+    must visit every automorphism (see the module docstring).
+
+    The depths are picked in order, each raising the rank of the degrees
+    before it, and snf.int_matrix_inverse checks that they span U over Z,
+    not only over Q.  Over F_2 the torus is trivial, and a grading that
+    verify_grading refuses, a torsion or trivial U, or degrees that are no
+    basis give [].
+    """
+    if alg.field.p == 2:
+        return []
+    pair = universal_grading(alg)
+    if pair is None:
+        return []
+    group, grading = pair
+    r = group.free_rank
+    if group.torsion or r == 0 or not verify_grading(grading).ok:
+        return []
+    weights = [d.coords for d in grading.degrees]
+    gens: list[int] = []
+    for d in unforced:
+        if len(gens) == r:
+            break
+        if len(rref([weights[g - 1] for g in gens + [d]])[0]) > len(gens):
+            gens.append(d)
+    if len(gens) < r:
+        return []
+    try:
+        int_matrix_inverse([list(weights[g - 1]) for g in gens])
+    except ValueError:  # invertible over Q only
+        return []
+    return gens
+
+
 def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchReport:
     """Count all automorphisms over F_p by a pruned walk over matrix space.
 
@@ -414,6 +465,16 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
       checks and the rank test already decide them, and filtering them too
       slowed nf 4 over F_5 by a third (0.029 to 0.040 s) without saving a
       node.
+
+    One automorphism per coset of the torus T = Hom(U, K^x) is visited
+    (see the module docstring): at the depths g_1..g_r of
+    _torus_generators only the candidates whose first nonzero coordinate
+    is 1 are kept, and count is the number found times torus_size =
+    (p-1)^r, |T| over F_p.  all_in_family compares the automorphisms found
+    with the family matrices whose columns g_1..g_r lead with 1.  With no
+    such depths (over F_2, a torsion or trivial U, no universal grading,
+    or degrees that are no basis of U) torus_size is 1 and the same walk
+    visits every automorphism.
 
     The walk recurses once per unforced depth.  Each candidate column
     there that passes is followed, in a loop, by the forced columns up to
@@ -460,6 +521,9 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
                 forced[d] = (a, b, [(r, i, j, c * cinv % p)
                                     for r, prods in enumerate(into) for i, j, c in prods])
                 break
+    # one automorphism per torus coset: at these depths only candidates
+    # leading with 1 are kept (none when the walk is full)
+    gens = _torus_generators(alg, [d for d in range(1, n + 1) if d not in forced])
 
     # the checks at depth d are by_depth[d] less the forcing constraint,
     # which holds by construction of the forced column, each constraint with
@@ -564,7 +628,10 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
         solved = affine_solve(rows, n, p)
         if solved is None:
             return []
-        return _coset_outside(*solved, avoid[d], p)
+        candidates = _coset_outside(*solved, avoid[d], p)
+        if d in gens:  # those whose first nonzero coordinate is 1
+            return [x for x in candidates if next(filter(None, x), 0) == 1]
+        return candidates
 
     # echelon rows of the placed columns, d - 1 of them at depth d; a column
     # that reduce_vector does not append is dependent and ends its prefix
@@ -638,9 +705,14 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
         # return or on a budget cut, not by gc
         del walk
     family = _family_param_space(alg)
+    if family is not None:  # those whose columns g_k lead with 1
+        family = {m for m in family
+                  if all(next(filter(None, (row[g - 1] for row in m))) == 1 for g in gens)}
     all_in_family = None if family is None else set(found) == family
+    torus_size = (p - 1) ** len(gens)
     elapsed = int((time.monotonic() - start) * 1000)
-    return AutSearchReport(len(found), all_in_family, elapsed, nodes, forced_cols, pruned)
+    return AutSearchReport(len(found) * torus_size, torus_size, all_in_family, elapsed,
+                           nodes, forced_cols, pruned)
 
 
 # -- normalizer of the maximal torus --------------------------------------

@@ -146,6 +146,7 @@ def _aut_exhaustion(family, n, p):
         "count": rep.count,
         "expected": expected,
         "all_in_family": rep.all_in_family,
+        "torus_size": rep.torus_size,
         "nodes": rep.nodes,
         "forced": rep.forced,
         "pruned": rep.pruned,

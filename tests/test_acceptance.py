@@ -81,8 +81,9 @@ def test_criterion_04_aut_exhaustion(claims_by_criterion):
             assert ("nf", n, f"F{p}") in seen
         assert ("f1", 3, f"F{p}") in seen
     assert ("nf", 4, "F3") in seen and ("f1", 4, "F3") in seen
-    # the walk's work: a call for the empty prefix and one per leaf at least
-    assert all(c.detail["nodes"] > c.detail["count"] for c in claims)
+    # the walk's work: a call for the empty prefix and one per leaf at least,
+    # and a leaf per torus coset
+    assert all(c.detail["nodes"] > c.detail["count"] // c.detail["torus_size"] for c in claims)
     # the walk's counters follow its node count; each forced column is
     # computed at a node, so there are fewer of them than nodes
     assert all(list(c.detail)[-3:] == ["nodes", "forced", "pruned"] for c in claims)
@@ -178,8 +179,10 @@ def test_claim_identities_are_unique(claims_by_criterion):
 
 
 #: sha256 over every claim's JSON without elapsed_ms, in report order, one
-#: line each; recorded before the integer layer stopped redoing work
-CLAIMS_DIGEST = "db180b6ec22ebe0fc645b77442c3907ca7195eff97b69739fe06ebb01b50a47e"
+#: line each; recorded again when criterion 4's walk began keeping one
+#: automorphism per torus coset, which adds torus_size to its detail and
+#: lowers its nodes and forced counters but no count
+CLAIMS_DIGEST = "e7756c43228dea455c7a2b6f61ee717c3647489199962ec440d212f2ec5f11d2"
 
 
 def test_claims_are_byte_identical(claims_by_criterion):

@@ -221,6 +221,17 @@ def test_from_json_keeps_family_label_only_on_family_structure():
     assert Algebra.from_json(doc).label == "custom"
 
 
+def test_from_json_refuses_a_repeated_target():
+    doc = {"dim": 2, "field": {"kind": "Q"},
+           "sc": [{"i": 1, "j": 1, "terms": [{"k": 2, "c": 1}, {"k": 2, "c": -1}]}]}
+    with pytest.raises(ValueError, match="repeats a target"):
+        Algebra.from_json(doc)
+    # distinct targets of one entry, and one target in two entries, still read
+    doc["sc"] = [{"i": 1, "j": 1, "terms": [{"k": 1, "c": 1}, {"k": 2, "c": -1}]},
+                 {"i": 1, "j": 2, "terms": [{"k": 2, "c": 3}]}]
+    assert Algebra.from_json(doc).sc == {(1, 1): ((1, 1), (2, -1)), (1, 2): ((2, 3),)}
+
+
 def test_algebra_index_validation():
     with pytest.raises(ValueError):
         Algebra(2, QQ, {(0, 1): [(2, 1)]})

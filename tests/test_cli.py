@@ -226,12 +226,15 @@ def test_aut_count_brute_force(capsys):
     assert doc["algebra"] == {"family": "nf", "dim": 3}
     assert doc["field"] == {"kind": "Fp", "p": 5}
     assert isinstance(doc["elapsed_ms"], int)
-    # walk calls: one for the empty prefix and three for each of the 4 * 25
-    # first columns, which force the other two
-    assert doc["nodes"] == 1 + 3 * 100
+    # one automorphism per coset of the torus diag(t, t^2, t^3), the one
+    # whose first column leads with 1
+    assert doc["torus_size"] == 4
+    # walk calls: one for the empty prefix and three for each of the 25
+    # first columns leading with 1, which force the other two
+    assert doc["nodes"] == 1 + 3 * 25
     # columns 2 and 3 are forced under each first column, and none is cut
-    assert (doc["forced"], doc["pruned"]) == (2 * 100, 0)
-    assert list(doc)[-3:] == ["nodes", "forced", "pruned"]
+    assert (doc["forced"], doc["pruned"]) == (2 * 25, 0)
+    assert list(doc)[-4:] == ["torus_size", "nodes", "forced", "pruned"]
 
 
 def test_aut_count_formula(capsys):
@@ -417,6 +420,19 @@ def test_malformed_input_document_exits_two(capsys, tmp_path):
     assert code == 2 and "malformed" in err
 
 
+@pytest.mark.parametrize("verb", ["check", "export"])
+def test_repeated_term_target_exits_two(capsys, tmp_path, verb):
+    # summed, k = 2 with c = 1 and c = -1 would read as no constant, and
+    # check would print "leibniz": true
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"dim": 2, "field": {"kind": "Q"}, "sc": [
+        {"i": 1, "j": 1, "terms": [{"k": 2, "c": 1}, {"k": 2, "c": -1}]}]}))
+    code, out, err = run_cli(capsys, verb, "--input", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "malformed" in lines[0] and "repeats a target" in lines[0]
+
+
 def test_budget_flag_converts_to_search_budget(capsys):
     code, _, err = run_cli(
         capsys, "aut-count", "--family", "nf", "--dim", "4", "--field", "F5",
@@ -426,12 +442,13 @@ def test_budget_flag_converts_to_search_budget(capsys):
 
 
 @pytest.mark.parametrize("family, dim, field, count, nodes", [
-    ("f1", "4", "F5", 2000, 6021),
-    ("f1", "5", "F3", 324, 1303),
+    ("f1", "4", "F5", 2000, 381),
+    ("f1", "5", "F3", 324, 328),
 ])
 def test_brute_force_default_budget_counts_walk_nodes(capsys, family, dim, field, count, nodes):
-    # the default budget counts the walk's nodes, a few thousand here, not
-    # the 5^16 and 3^25 matrices the walk ranges over
+    # the default budget counts the walk's nodes, a few hundred here with
+    # one automorphism per torus coset, not the 5^16 and 3^25 matrices the
+    # walk ranges over
     code, doc = run_json(
         capsys, "aut-count", "--family", family, "--dim", dim, "--field", field, "--brute-force"
     )

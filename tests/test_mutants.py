@@ -79,6 +79,12 @@ MUTANTS = [
                  {6}, (6, "toral-table-generic-order", "nf", 3, "Q"), id="toral-base-doubled"),
     pytest.param(verification, "lift_direct_sum_gradings", lambda orig: lambda grading: [],
                  {8}, (8, "direct-sum-lift", "f2", 4, "Q"), id="lift_direct_sum_gradings-empty"),
+    # a generator depth too many: e_n, whose nf degree is n times that of
+    # e_1, so the walk keeps the same automorphisms but multiplies their
+    # number by (p-1)^2, not by the torus size p-1
+    pytest.param(torus, "_torus_generators",
+                 lambda orig: lambda alg, unforced: orig(alg, unforced) + [alg.dim],
+                 {4}, (4, "aut-exhaustion", "nf", 3, "F3"), id="torus-generator-dependent-depth"),
     # every criterion 4 walk reports pruned 0, so no claim reaches a
     # dependent column; tests/test_torus.py::test_walk_counters_by_hand
     # kills it at lie_l 4 over F3 (2,268 automorphisms instead of 972)

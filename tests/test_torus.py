@@ -50,6 +50,21 @@ def values(m):
     return [[s.value for s in row] for row in m]
 
 
+def leads_with_one(m, gens):
+    """True iff, for each g in gens, the first nonzero entry of column g of m
+    (row tuples) is 1: m is the automorphism of its torus coset that the
+    walk keeps."""
+    return all(next(filter(None, (row[g - 1] for row in m)), 0) == 1 for g in gens)
+
+
+@pytest.fixture
+def full_walk(monkeypatch):
+    """Without a universal grading brute_force_aut has no torus to divide
+    out, so it visits every automorphism: the oracle that the walk keeping
+    one automorphism per torus coset is checked against."""
+    monkeypatch.setattr(torus, "universal_grading", lambda alg: None)
+
+
 def scal(field, rows):
     return [[field.scalar(x) for x in row] for row in rows]
 
@@ -463,7 +478,9 @@ def test_pruned_walk_matches_raw_scan_on_random_algebras(alg):
 @pytest.mark.parametrize("family,n,p", [("f1", 4, 5), ("f1", 5, 3), ("nf", 4, 5), ("nf", 5, 3)])
 def test_brute_force_family_is_aut_at_benchmark_sizes(family, n, p):
     report = brute_force_aut(make_family(family, n, Field(p)), budget=p ** (n * n))
-    assert report.count == family_counts(family, n, p)[0]
+    # one automorphism per coset of the whole torus: e_1 generates the nf
+    # grading group and e_1, e_2 that of f1
+    assert (report.count, report.torus_size) == family_counts(family, n, p)
     assert report.all_in_family is True
 
 
@@ -473,7 +490,7 @@ def test_brute_force_family_is_aut_at_benchmark_sizes(family, n, p):
     "family,n,p,nodes",
     [("nf", 4, 5, 2_001), ("nf", 5, 3, 811), ("f1", 4, 5, 6_021), ("f1", 5, 3, 1_303)],
 )
-def test_walk_nodes_at_benchmark_sizes(family, n, p, nodes):
+def test_walk_nodes_at_benchmark_sizes(full_walk, family, n, p, nodes):
     alg = make_family(family, n, Field(p))
     report = brute_force_aut(alg, budget=p ** (n * n))
     assert report.nodes == nodes
@@ -488,7 +505,7 @@ def test_walk_nodes_at_benchmark_sizes(family, n, p, nodes):
     "family,n,p,forced",
     [("nf", 4, 5, 1_500), ("nf", 5, 3, 648), ("f1", 4, 5, 4_000), ("f1", 5, 3, 972)],
 )
-def test_walk_counters_at_benchmark_sizes(family, n, p, forced):
+def test_walk_counters_at_benchmark_sizes(full_walk, family, n, p, forced):
     # nf forces columns 2..n and f1 columns 3..n; with no dead ends there is
     # one forced column per distinct prefix ending just before a forced depth
     # and no candidate is cut
@@ -496,6 +513,29 @@ def test_walk_counters_at_benchmark_sizes(family, n, p, forced):
     report = brute_force_aut(alg, budget=p ** (n * n))
     assert (report.forced, report.pruned) == (forced, 0)
     auts = _family_param_space(alg)
+    first = 2 if family == "nf" else 3
+    assert report.forced == sum(len({tuple(row[:d - 1] for row in m) for m in auts})
+                                for d in range(first, n + 1))
+
+
+@pytest.mark.parametrize(
+    "family,n,p,counts",
+    [("nf", 4, 5, (500, 501, 375, 0)), ("nf", 5, 3, (162, 406, 324, 0)),
+     ("f1", 4, 5, (2_000, 381, 250, 0)), ("f1", 5, 3, (324, 328, 243, 0))],
+)
+def test_normalized_walk_at_benchmark_sizes(family, n, p, counts):
+    # the walk keeps the automorphisms whose generator columns lead with 1,
+    # column 1 for nf and columns 1 and 2 for f1, and multiplies their
+    # number by the torus size; it still has no dead ends and cuts nothing
+    alg = make_family(family, n, Field(p))
+    report = brute_force_aut(alg, budget=p ** (n * n))
+    assert (report.count, report.nodes, report.forced, report.pruned) == counts
+    gens = (1,) if family == "nf" else (1, 2)
+    assert report.torus_size == (p - 1) ** len(gens)
+    auts = {m for m in _family_param_space(alg) if leads_with_one(m, gens)}
+    assert len(auts) * report.torus_size == report.count
+    prefixes = {tuple(row[:d] for row in m) for m in auts for d in range(1, n + 1)}
+    assert report.nodes == 1 + len(prefixes)
     first = 2 if family == "nf" else 3
     assert report.forced == sum(len({tuple(row[:d - 1] for row in m) for m in auts})
                                 for d in range(first, n + 1))
@@ -568,40 +608,52 @@ def test_coset_outside_matches_reference(case):
     assert _coset_outside(x0, basis, avoid, p) == reference_coset_outside(x0, basis, avoid, p)
 
 
+#: (count, nodes, forced, pruned) of the walk that visits every
+#: automorphism, then of the walk that visits one per torus coset and
+#: multiplies by the torus size; over F2, for an algebra whose grading group
+#: has torsion (dependent-forced-F3, Z_3) and for lie_q, whose constants give
+#: two basis vectors one degree, so that universal_grading returns None, the
+#: two are the same walk
 @pytest.mark.parametrize(
-    "alg,counts",
+    "alg,counts,normalized",
     [
         # abelian over F2: the zero first column and, under each of the 3
         # nonzero ones, the zero column and the first column again fail rank
-        (Algebra(2, Field(2), {}), (6, 10, 0, 7)),
+        (Algebra(2, Field(2), {}), (6, 10, 0, 7), (6, 10, 0, 7)),
         # column 2 = (y^2, x^2) is forced under each of the 8 nonzero first
         # columns (x, y); the zero one fails rank, as do the 2 forced columns
         # with x = y, and 4 of the other 6 fail [e1, e2] = [e2, e1] = 0 or
         # [e2, e2] = e1
-        (Algebra(2, F3, {(1, 1): [(2, 1)], (2, 2): [(1, 1)]}), (2, 11, 8, 7)),
+        (Algebra(2, F3, {(1, 1): [(2, 1)], (2, 2): [(1, 1)]}), (2, 11, 8, 7), (2, 11, 8, 7)),
         # the Lie filiform families: (p-1)^2 p^(2n-3) automorphisms; the rank
         # test cuts candidates here, and a coordinate of [e_1, e_i] = -[e_i, e_1]
         # sums two products
-        (make_family("lie_l", 4, F3), (972, 7705, 6660, 4212)),
-        (make_family("lie_q", 4, F3), (972, 10621, 9576, 4212)),
+        (make_family("lie_l", 4, F3), (972, 7705, 6660, 4212), (972, 1945, 1665, 1053)),
+        (make_family("lie_q", 4, F3), (972, 10621, 9576, 4212), (972, 10621, 9576, 4212)),
         # the benchmark's four walks, whose nodes are the column prefixes
         # test_walk_nodes_at_benchmark_sizes counts; its two normalizer
         # inputs are pinned in test_normalizer_nodes_at_benchmark_sizes
-        (make_family("nf", 4, F5), (500, 2_001, 1_500, 0)),
-        (make_family("nf", 5, F3), (162, 811, 648, 0)),
-        (make_family("f1", 4, F5), (2_000, 6_021, 4_000, 0)),
-        (make_family("f1", 5, F3), (324, 1_303, 972, 0)),
+        (make_family("nf", 4, F5), (500, 2_001, 1_500, 0), (500, 501, 375, 0)),
+        (make_family("nf", 5, F3), (162, 811, 648, 0), (162, 406, 324, 0)),
+        (make_family("f1", 4, F5), (2_000, 6_021, 4_000, 0), (2_000, 381, 250, 0)),
+        (make_family("f1", 5, F3), (324, 1_303, 972, 0), (324, 328, 243, 0)),
         # f2, whose left annihilator is its center: the right annihilator
         # cuts here, and the walk without it reaches 499 and 1,669 nodes
-        (make_family("f2", 4, F3), (324, 487, 108, 0)),
-        (make_family("f2", 5, F3), (972, 1_621, 486, 0)),
+        (make_family("f2", 4, F3), (324, 487, 108, 0), (324, 163, 54, 0)),
+        (make_family("f2", 5, F3), (972, 1_621, 486, 0), (972, 568, 243, 0)),
     ],
     ids=["abelian-F2", "dependent-forced-F3", "lie_l-4-F3", "lie_q-4-F3",
          "nf-4-F5", "nf-5-F3", "f1-4-F5", "f1-5-F3", "f2-4-F3", "f2-5-F3"],
 )
-def test_walk_counters_by_hand(alg, counts):
-    report = brute_force_aut(alg, budget=alg.field.p ** (alg.dim ** 2))
+def test_walk_counters_by_hand(monkeypatch, alg, counts, normalized):
+    budget = alg.field.p ** (alg.dim ** 2)
+    report = brute_force_aut(alg, budget=budget)
+    assert (report.count, report.nodes, report.forced, report.pruned) == normalized
+    with monkeypatch.context() as patch:
+        patch.setattr(torus, "universal_grading", lambda alg: None)
+        report = brute_force_aut(alg, budget=budget)
     assert (report.count, report.nodes, report.forced, report.pruned) == counts
+    assert report.torus_size == 1
 
 
 # -- characteristic subspaces -------------------------------------------------
@@ -677,28 +729,42 @@ def test_characteristic_subspaces_are_characteristic(alg):
 
 
 @pytest.mark.parametrize(
-    "alg",
+    "alg,gens",
     [
         # e1 spans the center, the intersection of the left annihilator
-        # span(e1, e3) and the right annihilator span(e1, e2)
-        Algebra(3, Field(2), {(2, 3): [(2, 1)]}),
-        # the mirror image: left annihilator span(e1, e2), right span(e1, e3)
-        Algebra(3, F3, {(3, 2): [(2, 2)]}),
-        # the non-abelian Lie algebra [e1, e2] = e1 = -[e2, e1]
-        Algebra(2, F3, {(1, 2): [(1, 1)], (2, 1): [(1, 2)]}),
+        # span(e1, e3) and the right annihilator span(e1, e2); over F2 the
+        # torus is trivial
+        (Algebra(3, Field(2), {(2, 3): [(2, 1)]}), ()),
+        # the mirror image: left annihilator span(e1, e2), right span(e1, e3);
+        # e1 and e2 have degrees (1, 0) and (0, 1), e3 degree 0
+        (Algebra(3, F3, {(3, 2): [(2, 2)]}), (1, 2)),
+        # the non-abelian Lie algebra [e1, e2] = e1 = -[e2, e1]: e1 has
+        # degree 1 and e2 degree 0
+        (Algebra(2, F3, {(1, 2): [(1, 1)], (2, 1): [(1, 2)]}), (1,)),
     ],
     ids=["center-F2", "center-F3", "lie-F3"],
 )
-def test_confined_walk_has_no_dead_ends(alg):
+def test_confined_walk_has_no_dead_ends(monkeypatch, alg, gens):
     # here column d must be confined to every characteristic subspace
-    # holding e_d at once for each visited prefix to extend to an automorphism
+    # holding e_d at once for each visited prefix to extend to an automorphism,
+    # in the full walk and in the one that keeps the automorphisms whose
+    # columns gens lead with 1
     n = alg.dim
     hits = raw_scan(alg)
-    prefixes = {tuple(flat[r * n + c] for r in range(n) for c in range(d))
-                for flat in hits for d in range(1, n + 1)}
+
+    def prefixes(auts):
+        return {tuple(flat[r * n + c] for r in range(n) for c in range(d))
+                for flat in auts for d in range(1, n + 1)}
+
+    kept = [flat for flat in hits
+            if leads_with_one([flat[r * n:(r + 1) * n] for r in range(n)], gens)]
+    report = brute_force_aut(alg)
+    assert report.count == len(hits) == len(kept) * report.torus_size
+    assert report.nodes == 1 + len(prefixes(kept))
+    monkeypatch.setattr(torus, "universal_grading", lambda alg: None)
     report = brute_force_aut(alg)
     assert report.count == len(hits)
-    assert report.nodes == 1 + len(prefixes)
+    assert report.nodes == 1 + len(prefixes(hits))
 
 
 def test_brute_force_counts_match_formulas():
@@ -720,7 +786,7 @@ def test_brute_force_needs_prime_field():
         brute_force_aut(make_family("nf", 3))
 
 
-def test_searches_leave_no_reference_cycles():
+def test_searches_leave_no_reference_cycles(monkeypatch):
     # a cycle through the walk's closure kept its matrices alive after the
     # call until a gc pass; at nf 6 F5 the normalizer's span walk cuts
     # subtrees at every level
@@ -730,9 +796,15 @@ def test_searches_leave_no_reference_cycles():
     try:
         brute_force_aut(alg)
         assert gc.collect() == 0
-        # a walk cut by its budget frees its closure too
+        # a walk cut by its budget frees its closure too, the full walk
+        # and the one that keeps one automorphism per torus coset
         with pytest.raises(BudgetExceeded):
-            brute_force_aut(alg, budget=100)
+            brute_force_aut(alg, budget=10)
+        assert gc.collect() == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(torus, "universal_grading", lambda alg: None)
+            with pytest.raises(BudgetExceeded):
+                brute_force_aut(alg, budget=100)
         assert gc.collect() == 0
         normalizer_equals_torus(alg)
         assert gc.collect() == 0
@@ -742,10 +814,20 @@ def test_searches_leave_no_reference_cycles():
         gc.enable()
 
 
-def test_brute_force_budget():
+def test_brute_force_budget(monkeypatch):
     # the budget gates on the nodes the walk reaches, not on the raw 5^16
-    # matrices: nf 4 over F5 reaches 2001 and is cut at the first one past it
+    # matrices: nf 4 over F5 reaches 501, one automorphism per torus coset,
+    # and is cut at the first node past it
     alg = make_family("nf", 4, F5)
+    with pytest.raises(BudgetExceeded) as info:
+        brute_force_aut(alg, budget=250)
+    assert (info.value.required, info.value.budget) == (251, 250)
+    assert brute_force_aut(alg, budget=501).nodes == 501
+    with pytest.raises(BudgetExceeded) as info:
+        brute_force_aut(alg, budget=500)
+    assert (info.value.required, info.value.budget) == (501, 500)
+    # the full walk reaches 2001
+    monkeypatch.setattr(torus, "universal_grading", lambda alg: None)
     with pytest.raises(BudgetExceeded) as info:
         brute_force_aut(alg, budget=1000)
     assert (info.value.required, info.value.budget) == (1001, 1000)
