@@ -37,13 +37,15 @@ from .verification import run_all, summarize
 _FAMILY_FLAGS = {"nf": "nf", "f1": "f1", "f2": "f2", "lie-l": "lie_l", "lie-q": "lie_q"}
 
 #: measured rate for converting --budget-ms into walk steps, for both
-#: budgeted searches: a normalizer span-walk call took 2.6-3.7 µs over 2M
-#: calls at nf 3 mod 1000003, so 250 per ms.  brute_force_aut, walking one
-#: automorphism per torus coset, reached 42-132 nodes per ms on the four
-#: benchmark walks (nf 4 and f1 4 over F5, nf 5 and f1 5 over F3; median
-#: of 40 runs each, 2-vCPU host, Python 3.11): fewer nodes now share the
-#: per-search cost of comparing with the family, most of f1 4 over F5's time
-WALK_CALLS_PER_MS = 250
+#: budgeted searches, the slowest one measured: per search, the median of
+#: 40 runs, in six rounds on a 2-vCPU host (Python 3.11) whose cores
+#: switch between two speeds.  brute_force_aut, walking one automorphism
+#: per torus coset, reached 25-142 nodes per ms on the four benchmark
+#: walks (nf 4 and f1 4 over F5, nf 5 and f1 5 over F3); the normalizer,
+#: walking one torus coset representative, 20-62 calls per ms (nf 6, f1 5
+#: and nf 8 over F5, f1 6 over F7).  Both pay a per-search cost (the
+#: family comparison; the family's torus) that fewer steps now share.
+WALK_CALLS_PER_MS = 20
 
 
 class UsageError(Exception):

@@ -22,6 +22,12 @@ no row of M is nonzero in columns of two weight classes.  The matrices
 passing this test include N(T) within the family; when they are exactly
 the torus points, N(T) within the family is T.  Weights are compared as
 integers, not as torus values over F_p, where they collide for small p.
+The check walks one matrix per coset of the family's own torus T_F, the
+diagonal family matrices: M t scales the columns of M by units, so it
+keeps the zero pattern, and each coset holds exactly one M whose leading
+units (alpha; a_1 and b_2) are 1.  So the passing set is T exactly when
+the identity is the only representative in it and T_F is the torus read
+off the weights (normalizer_equals_torus).
 
 aut_matrix_nf(n, alpha, betas) and aut_matrix_f1(n, a1, an, b), with
 b = (b_2, ..., b_n), are the only home of the family formulas (the f1
@@ -31,9 +37,9 @@ parameters, so n calls (the origin and each unit direction) fix the
 whole affine span, which is then walked on raw ints mod p.  The
 exhaustive search compares its automorphisms with the span's matrices
 whose generator columns lead with 1 (see below).  The normalizer check
-builds only the matrices passing its test: the test is row by row, so
-the walk tests each row as soon as no later step can change it and cuts
-every matrix below a failing row.
+walks the span at one leading value and builds only the matrices passing
+its test: the test is row by row, so the walk tests each row as soon as
+no later step can change it and cuts every matrix below a failing row.
 
 The exhaustive automorphism search (brute_force_aut) inverts nothing.
 Its product constraints are compiled once per search into per-depth
@@ -201,12 +207,27 @@ class AutSearchReport(NamedTuple):
     pruned: int
 
 
+def _leading_evaluations(alg: Algebra, points, units):
+    """Per leading value, lazily, the family matrices at each of points, a
+    list of values of the non-leading parameters (beta_1..beta_{n-1} for
+    nf; a_n, b_3..b_n for f1): alpha runs over units for nf, a_1 and b_2
+    each over units for f1."""
+    n = alg.dim
+    if alg.label == "nf":
+        return ([aut_matrix_nf(n, alpha, q) for q in points] for alpha in units)
+    units = list(units)  # a1 and b2 each run over every unit
+    return ([aut_matrix_f1(n, a1, q[0], (b2,) + q[1:]) for q in points]
+            for a1 in units for b2 in units)
+
+
 def _family_param_space(alg: Algebra, keep=None, calls: list | None = None,
-                        budget: int | None = None):
+                        budget: int | None = None, representatives: bool = False):
     """All (family parametrization) automorphism matrices over F_p, as
     int tuples, keyed and deduplicated by matrix.  None when the family
     has no stored parametrization, or f1 is below dimension 3, where its
-    formulas do not hold (_check_f1_dimension).
+    formulas do not hold (_check_f1_dimension).  With representatives,
+    only the leading value whose units are all 1 is walked: one matrix
+    per coset of the family's torus (see normalizer_equals_torus).
 
     Once the leading units are fixed (alpha for nf; a_1 and b_2 for f1),
     every entry of aut_matrix_nf/aut_matrix_f1 is affine in the other
@@ -234,22 +255,16 @@ def _family_param_space(alg: Algebra, keep=None, calls: list | None = None,
             _check_f1_dimension(n)
         except DimensionTooSmall:
             return None
-    # lazily: a walk cut by its budget leaves the rest unbuilt
-    units = map(field.scalar, range(1, p))
     zero, one = field.zero(), field.one()
+    # lazily: a walk cut by its budget leaves the rest unbuilt
+    units = [one] if representatives else map(field.scalar, range(1, p))
     # the origin of the non-leading parameters, then each unit direction
     points = [(zero,) * (n - 1)] + [
         tuple(one if i == j else zero for i in range(n - 1)) for j in range(n - 1)
     ]
-    if alg.label == "nf":
-        evaluations = ([aut_matrix_nf(n, alpha, q) for q in points] for alpha in units)
-    else:
-        units = list(units)  # a1 and b2 each run over every unit
-        evaluations = ([aut_matrix_f1(n, a1, q[0], (b2,) + q[1:]) for q in points]
-                       for a1 in units for b2 in units)
     matrices = set()
     spent = 0
-    for origin, *along_units in evaluations:
+    for origin, *along_units in _leading_evaluations(alg, points, units):
         base = tuple(map(tuple, _values(origin, field)))
         steps = []
         for m in along_units:
@@ -729,8 +744,10 @@ FAMILY_SEARCH_NOTE = (
 
 class NormalizerReport(NamedTuple):
     """normalizer_size counts the family matrices that pass the zero-pattern
-    test, which is |N(T) within the family| whenever holds is true; nodes
-    counts the calls of the pruned span walk that found them."""
+    test, which is |N(T) within the family| whenever holds is true: the
+    coset representatives that pass it times the family's torus size.
+    nodes counts the calls of the pruned span walk that found the
+    representatives."""
 
     holds: bool
     normalizer_size: int
@@ -775,6 +792,17 @@ def _torus_points(weights, p: int) -> set[tuple[tuple[int, ...], ...]]:
     return points
 
 
+def _family_torus(alg: Algebra) -> set[tuple[tuple[int, ...], ...]]:
+    """T_F, the family's own torus, as int row tuples: the family at the
+    origin of the non-leading parameters, one diagonal matrix per leading
+    value (diag(alpha, ..., alpha^n); diag(a_1, b_2, a_1 b_2, ...))."""
+    field = alg.field
+    origin = [(field.zero(),) * (alg.dim - 1)]
+    units = [field.scalar(v) for v in range(1, field.p)]
+    return {tuple(map(tuple, _values(m, field)))
+            for (m,) in _leading_evaluations(alg, origin, units)}
+
+
 def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> NormalizerReport:
     """Machine check that the torus is its own normalizer.
 
@@ -782,12 +810,26 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     N(T) within the family (see module docstring), and T lies in N(T); so
     equality of that set with the torus point set shows N(T) = T there.
     Both read the weights off universal_grading(alg): the degrees of e_i.
-    The test is row by row, so _family_param_space walks each leading
-    value's affine span with it and cuts a subtree at the first final row
-    that fails: only that set is built, not the whole family.  The budget
-    gates on the work done: BudgetExceeded(calls so far, budget) is raised
-    at the first call of the walk past it, not on the family's size, or at
-    once when the (p-1)^r leading values, one call each at least, exceed it.
+
+    The set is walked over one representative per coset of T_F, the
+    family's torus (_family_torus): the family F is a group holding T_F,
+    so F T_F = F, and right multiplication by a point t of T_F scales the
+    columns by units, which keeps every zero pattern.  The leading units
+    of M are its entries (1, 1) (alpha; a_1 for f1) and, for f1, (2, 2)
+    (b_2), and M t multiplies them by those of t, so each coset meets R,
+    the matrices whose leading units are 1, exactly once.  So the set is
+    S T_F with S its part in R, |S T_F| = |S| |T_F|, and it equals the
+    torus points exactly when S = {I} and T_F is the torus read off the
+    weights; the second comparison is what catches wrong weights, whose
+    row test keeps the same rows.
+
+    The test is row by row, so _family_param_space walks the span at the
+    one leading value of R with it and cuts a subtree at the first final
+    row that fails: only the passing representatives are built.  The
+    budget gates on the work done: BudgetExceeded(calls so far, budget)
+    is raised at the first call of the walk past it, not on the family's
+    size, or at once when the (p-1)^r leading values, which T_F takes one
+    evaluation each, exceed it.
     """
     p = alg.field.p
     if p is None:
@@ -795,9 +837,9 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     if alg.label not in TORUS_FAMILIES:
         raise UnsupportedFamily(f"no automorphism parametrization for {alg.label!r}")
     n = alg.dim
-    # the walk makes at least one call per leading value, and those are
-    # the (p-1)^r torus points: more of them than the budget is refused
-    # before any is walked
+    # T_F takes one evaluation per leading value, and those are the
+    # (p-1)^r torus points: more of them than the budget is refused
+    # before any is evaluated
     _, leading = family_counts(alg.label, n, p)
     if leading > budget:
         raise BudgetExceeded(leading, budget)
@@ -805,9 +847,14 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     weights = [d.coords for d in universal_grading(alg)[1].degrees]
 
     calls: list[int] = []
-    normalizer = _family_param_space(
-        alg, lambda r, row: _row_keeps_torus_diagonal(row, weights), calls, budget)
+    representatives = _family_param_space(
+        alg, lambda r, row: _row_keeps_torus_diagonal(row, weights), calls, budget,
+        representatives=True)
+    family_torus = _family_torus(alg)
     torus = _torus_points(weights, p)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    holds = representatives == {identity} and family_torus == torus
 
     elapsed = int((time.monotonic() - start) * 1000)
-    return NormalizerReport(normalizer == torus, len(normalizer), len(torus), elapsed, sum(calls))
+    return NormalizerReport(holds, len(representatives) * len(family_torus), len(torus),
+                            elapsed, sum(calls))

@@ -181,8 +181,10 @@ def test_claim_identities_are_unique(claims_by_criterion):
 #: sha256 over every claim's JSON without elapsed_ms, in report order, one
 #: line each; recorded again when criterion 4's walk began keeping one
 #: automorphism per torus coset, which adds torus_size to its detail and
-#: lowers its nodes and forced counters but no count
-CLAIMS_DIGEST = "e7756c43228dea455c7a2b6f61ee717c3647489199962ec440d212f2ec5f11d2"
+#: lowers its nodes and forced counters but no count, and again when
+#: criterion 5's walk began visiting one torus coset representative, which
+#: lowers only its nodes
+CLAIMS_DIGEST = "c13d9159815dbfd31e3d92c7e09cce5c79f2187cbe8c2ace37b27f3de9a1e918"
 
 
 def test_claims_are_byte_identical(claims_by_criterion):

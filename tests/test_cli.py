@@ -458,7 +458,7 @@ def test_brute_force_default_budget_counts_walk_nodes(capsys, family, dim, field
 
 @pytest.mark.parametrize("budget_ms, exit_code", [("1", 2), ("3", 0)])
 def test_normalizer_budget_ms_converts_at_the_walk_rate(capsys, budget_ms, exit_code):
-    # f1 5 over F5 walks 656 calls: past 1 ms at 250 calls per ms, within 3 ms
+    # f1 5 over F5 walks 41 calls: past 1 ms at 20 calls per ms, within 3 ms
     code, out, err = run_cli(
         capsys, "normalizer", "--family", "f1", "--dim", "5", "--field", "F5",
         "--budget-ms", budget_ms,
@@ -467,7 +467,7 @@ def test_normalizer_budget_ms_converts_at_the_walk_rate(capsys, budget_ms, exit_
     if exit_code:
         assert out == "" and "budget" in err
     else:
-        assert json.loads(out)["nodes"] == 656
+        assert json.loads(out)["nodes"] == 41
 
 
 @pytest.mark.parametrize("verb", [("aut-count", "--brute-force"), ("normalizer",)])

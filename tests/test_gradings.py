@@ -77,7 +77,7 @@ def test_grading_requires_matching_group():
         Grading(alg, Z, (Z.element((1,)),))
 
 
-def test_partition_and_components():
+def test_partition():
     alg = make_family("nf", 4)
     g = Grading(alg, AbelianGroup(0, (2,)), tuple(
         AbelianGroup(0, (2,)).element((j % 2,)) for j in range(1, 5)

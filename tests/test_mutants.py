@@ -64,8 +64,6 @@ MUTANTS = [
                  {7}, (7, "enumeration-vs-catalog", "nf", 4, "Q"), id="equivalent-always-true"),
     pytest.param(verification, "equivalent", lambda orig: lambda g1, g2: g1.degrees == g2.degrees,
                  {7}, (7, "enumeration-vs-catalog", "f1", 5, "Q"), id="equivalent-compares-degrees"),
-    # the torus read off doubled degrees is the squares of the real one:
-    # over F5, diag(t^2, t^4, t^6) takes 2 values where the normalizer has 4
     # the menu sweep cross-checks criterion 7 only at n <= 4, where the menu
     # without Z x Z_i still finds every class; at f1 5 and f2 5 it finds 13
     # of 14, and tests/test_catalog.py::test_enumeration_matches_catalog and
@@ -73,8 +71,15 @@ MUTANTS = [
     pytest.param(verification, "default_group_menu", without_free_torsion,
                  {7}, (7, "enumeration-vs-catalog", "f1", 5, "Q"), id="menu-without-Z-x-Zi",
                  marks=pytest.mark.xfail(strict=True, reason="no criterion 7 sweep reaches n = 5")),
+    # the torus read off doubled degrees is the squares of the real one:
+    # over F5, diag(t^2, t^4, t^6) takes 2 values where the family's torus
+    # has 4; the row test keeps the same rows, so only that comparison fails
     pytest.param(torus, "universal_grading", doubled_degrees,
                  {5}, (5, "normalizer-equals-torus", "nf", 3, "F5"), id="torus-weights-doubled"),
+    # a row test that keeps every row lets all 25 coset representatives
+    # through, not only the identity
+    pytest.param(torus, "_row_keeps_torus_diagonal", lambda orig: lambda row, weights: True,
+                 {5}, (5, "normalizer-equals-torus", "nf", 3, "F5"), id="normalizer-keeps-every-row"),
     pytest.param(verification, "universal_grading", doubled_degrees,
                  {6}, (6, "toral-table-generic-order", "nf", 3, "Q"), id="toral-base-doubled"),
     pytest.param(verification, "lift_direct_sum_gradings", lambda orig: lambda grading: [],

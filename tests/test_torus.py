@@ -876,8 +876,10 @@ def test_normalizer_various_sizes():
 
 
 # the normalizer inputs of the benchmark, where the span walk used to build
-# all 12,500 and 10,000 family matrices
-@pytest.mark.parametrize("family,n,nodes", [("nf", 6, 104), ("f1", 5, 656)])
+# all 12,500 and 10,000 family matrices, and where it took 104 and 656
+# calls over every leading value before it walked one torus coset
+# representative per orbit
+@pytest.mark.parametrize("family,n,nodes", [("nf", 6, 26), ("f1", 5, 41)])
 def test_normalizer_nodes_at_benchmark_sizes(family, n, nodes):
     rep = normalizer_equals_torus(make_family(family, n, F5))
     assert rep.holds and rep.nodes == nodes
@@ -899,6 +901,43 @@ def conjugated_projectors(m, weights, p):
 
 def is_diagonal(m):
     return all(not x for i, row in enumerate(m) for j, x in enumerate(row) if i != j)
+
+
+def times_diagonal(m, t, p):
+    """m t mod p for a diagonal t, both int row tuples: column j of m times t_jj."""
+    return tuple(tuple(x * t[j][j] % p for j, x in enumerate(row)) for row in m)
+
+
+@pytest.mark.parametrize(
+    "family,n,p",
+    [("nf", n, p) for n in range(2, 7) for p in (2, 3, 5)]
+    + [("f1", n, p) for n in range(3, 6) for p in (2, 3, 5)],
+)
+def test_normalizer_walks_one_representative_per_torus_coset(family, n, p):
+    alg = make_family(family, n, Field(p))
+    weights = torus_weights(alg)
+    full = reference_family_space(alg)
+    family_torus = torus._family_torus(alg)
+    assert all(is_diagonal(t) for t in family_torus)
+    # F T_F = F
+    assert {times_diagonal(m, t, p) for m in full for t in family_torus} == full
+    # R, the matrices whose leading units (alpha; a_1 and b_2) are 1, meets
+    # each coset once: (r, t) -> r t maps R x T_F one to one onto F
+    leading = 1 if family == "nf" else 2
+    reps = {m for m in full if all(m[i][i] == 1 for i in range(leading))}
+    assert _family_param_space(alg, representatives=True) == reps
+    products = {times_diagonal(r, t, p) for r in reps for t in family_torus}
+    assert products == full and len(products) == len(reps) * len(family_torus)
+    # the full normalizer set the walk over every leading value built is
+    # the passing representatives times T_F
+    passing = {m for m in full if _keeps_torus_diagonal(m, weights)}
+    kept = _family_param_space(
+        alg, lambda r, row: _row_keeps_torus_diagonal(row, weights), representatives=True)
+    assert passing == {times_diagonal(m, t, p) for m in kept for t in family_torus}
+    points = _torus_points(weights, p)
+    rep = normalizer_equals_torus(alg)
+    assert (rep.holds, rep.normalizer_size, rep.torus_size) == (
+        passing == points, len(passing), len(points))
 
 
 def test_zero_pattern_accepts_a_swap_outside_the_centralizer():
@@ -966,19 +1005,21 @@ def test_normalizer_guards():
     with pytest.raises(UnsupportedFamily):
         normalizer_equals_torus(make_family("f2", 3, F3))
     with pytest.raises(BudgetExceeded):
-        normalizer_equals_torus(make_family("nf", 8, F5), budget=100)
+        normalizer_equals_torus(make_family("nf", 8, F5), budget=10)
 
 
 def test_normalizer_budget_counts_walk_calls():
     # the budget gates on the calls of the pruned span walk, not on the
-    # 4 * 5^7 = 312,500 family matrices: nf 8 over F5 takes 144 calls
+    # 4 * 5^7 = 312,500 family matrices: nf 8 over F5 takes 36 calls at
+    # its one walked leading value
     alg = make_family("nf", 8, F5)
-    assert normalizer_equals_torus(alg, budget=144).nodes == 144
+    assert normalizer_equals_torus(alg, budget=36).nodes == 36
     with pytest.raises(BudgetExceeded) as info:
-        normalizer_equals_torus(alg, budget=143)
-    assert (info.value.required, info.value.budget) == (144, 143)
-    # each of the (p-1)^r leading values costs a call at least, so more of
-    # them than the budget is refused before the walk starts
+        normalizer_equals_torus(alg, budget=35)
+    assert (info.value.required, info.value.budget) == (36, 35)
+    # the family's torus takes one evaluation per each of the (p-1)^r
+    # leading values, so more of them than the budget is refused before
+    # the walk starts
     with pytest.raises(BudgetExceeded) as info:
         normalizer_equals_torus(make_family("f1", 3, F5), budget=15)
     assert (info.value.required, info.value.budget) == (16, 15)
