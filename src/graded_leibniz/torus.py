@@ -30,16 +30,18 @@ the identity is the only representative in it and T_F is the torus read
 off the weights (normalizer_equals_torus).
 
 aut_matrix_nf(n, alpha, betas) and aut_matrix_f1(n, a1, an, b), with
-b = (b_2, ..., b_n), are the only home of the family formulas (the f1
-formulas need n >= 3), but they are not called once per parameter
-point: with the leading units fixed, every entry is affine in the other
-parameters, so n calls (the origin and each unit direction) fix the
-whole affine span, which is then walked on raw ints mod p.  The
-exhaustive search compares its automorphisms with the span's matrices
-whose generator columns lead with 1 (see below).  The normalizer check
-walks the span at one leading value and builds only the matrices passing
-its test: the test is row by row, so the walk tests each row as soon as
-no later step can change it and cuts every matrix below a failing row.
+b = (b_2, ..., b_n), are the only home of the family formulas, and
+_FAMILIES, read through _family, of the rest: each family's torus rank,
+least dimension and leading units.  The formulas are not called once per
+parameter point: with the leading units fixed, every entry is affine in
+the other parameters, so n calls (the origin and each unit direction)
+fix the whole affine span, which _family_param_space walks on raw ints
+mod p.  The exhaustive search compares its automorphisms with the span's
+matrices whose generator columns lead with 1 (see below).  The
+normalizer check walks the span at one leading value and builds only
+the matrices passing its test: the test is row by row, so the walk tests
+each row as soon as no later step can change it and cuts every matrix
+below a failing row.
 
 The exhaustive automorphism search (brute_force_aut) inverts nothing.
 Its product constraints are compiled once per search into per-depth
@@ -99,29 +101,43 @@ from .snf import int_matrix_inverse
 
 DEFAULT_BUDGET = 50_000_000
 
-TORUS_FAMILIES = ("nf", "f1")
+#: per family label: its torus rank r, the least dimension its formulas
+#: hold in (f1 of dimension 2 is abelian, so its Aut is all of GL_2) and
+#: at(n, lead, rest), its matrix at the r leading units (alpha; a_1 and
+#: b_2) and the other n - 1 parameters (beta_1..beta_{n-1}; a_n,
+#: b_3..b_n).  at looks the formulas up as module globals when it runs,
+#: so a formula replaced on the module (a tracer, a test's patch) is the
+#: one called
+_FAMILIES = {
+    "nf": (1, None, lambda n, lead, rest: aut_matrix_nf(n, lead[0], rest)),
+    "f1": (2, 3, lambda n, lead, rest: aut_matrix_f1(n, lead[0], rest[0], (lead[1],) + rest[1:])),
+}
 
 
-def _check_f1_dimension(n: int) -> None:
-    """f1 of dimension 2 is abelian, so its Aut is all of GL_2: the f1
-    family presupposes the chain relation of dimension >= 3."""
-    if n < 3:
-        raise DimensionTooSmall(f"the f1 automorphism family needs dimension >= 3, got {n}")
+def _family(label: str, n: int):
+    """(torus rank, at) of the family named label in dimension n (see
+    _FAMILIES); UnsupportedFamily when it has none, DimensionTooSmall
+    when n is below its least dimension."""
+    if label not in _FAMILIES:
+        raise UnsupportedFamily(f"no automorphism family formula for {label!r}")
+    rank, least, at = _FAMILIES[label]
+    if least is not None and n < least:
+        raise DimensionTooSmall(
+            f"the {label} automorphism family needs dimension >= {least}, got {n}")
+    return rank, at
 
 
-def family_counts(family: str, n: int, p: int) -> tuple[int, int]:
+def family_counts(family: str, n: int, p: int | None) -> tuple[int, int]:
     """(|Aut|, |torus|) over F_p: (p-1)^r p^(n-1) and (p-1)^r with torus rank r.
 
-    The ranks are written out, not read off the universal grading, so the
-    searches are checked against a formula they do not share.  Neither
-    formula holds for f1 below dimension 3 (_check_f1_dimension).
+    The ranks are written out (_FAMILIES), not read off the universal
+    grading, so the searches are checked against a formula they do not
+    share.  A field that is not F_p raises FieldMismatch.
     """
-    ranks = {"nf": 1, "f1": 2}
-    if family not in ranks:
-        raise UnsupportedFamily(f"no automorphism count formula for {family!r}")
-    if family == "f1":
-        _check_f1_dimension(n)
-    torus = (p - 1) ** ranks[family]
+    if p is None:
+        raise FieldMismatch("the family count formula needs a prime field")
+    rank, _ = _family(family, n)
+    torus = (p - 1) ** rank
     return torus * p ** (n - 1), torus
 
 
@@ -150,7 +166,7 @@ def aut_matrix_nf(n: int, alpha: Scalar, betas) -> list[list[Scalar]]:
 def aut_matrix_f1(n: int, a1: Scalar, an: Scalar, b) -> list[list[Scalar]]:
     """Matrix (columns are images of e_1..e_n) of the f1 automorphism with
     a1 and b[0] (= b_2) invertible and b = (b_2, ..., b_n); n >= 3."""
-    _check_f1_dimension(n)
+    _family("f1", n)
     if len(b) != n - 1:
         raise ValueError(f"expected {n - 1} b parameters")
     if not a1 or not b[0]:
@@ -207,122 +223,93 @@ class AutSearchReport(NamedTuple):
     pruned: int
 
 
-def _leading_evaluations(alg: Algebra, points, units):
-    """Per leading value, lazily, the family matrices at each of points, a
-    list of values of the non-leading parameters (beta_1..beta_{n-1} for
-    nf; a_n, b_3..b_n for f1): alpha runs over units for nf, a_1 and b_2
-    each over units for f1."""
-    n = alg.dim
-    if alg.label == "nf":
-        return ([aut_matrix_nf(n, alpha, q) for q in points] for alpha in units)
-    units = list(units)  # a1 and b2 each run over every unit
-    return ([aut_matrix_f1(n, a1, q[0], (b2,) + q[1:]) for q in points]
-            for a1 in units for b2 in units)
-
-
 def _family_param_space(alg: Algebra, keep=None, calls: list | None = None,
                         budget: int | None = None, representatives: bool = False):
     """All (family parametrization) automorphism matrices over F_p, as
-    int tuples, keyed and deduplicated by matrix.  None when the family
-    has no stored parametrization, or f1 is below dimension 3, where its
-    formulas do not hold (_check_f1_dimension).  With representatives,
-    only the leading value whose units are all 1 is walked: one matrix
-    per coset of the family's torus (see normalizer_equals_torus).
+    int tuples, keyed and deduplicated by matrix.  None when _family
+    refuses the algebra.  With representatives, only the leading value
+    whose units are all 1 is walked: one matrix per coset of the family's
+    torus (see normalizer_equals_torus).
 
-    Once the leading units are fixed (alpha for nf; a_1 and b_2 for f1),
-    every entry of aut_matrix_nf/aut_matrix_f1 is affine in the other
-    n - 1 parameters (beta_1..beta_{n-1}; a_n, b_3..b_n).  An affine map
-    is its value at the origin plus a combination of its steps along the
-    unit directions, so the family is evaluated there only (n calls per
-    leading value) and _add_affine_span enumerates the span mod p on raw
-    ints.  That gives the same set as evaluating every parameter point.
+    Once the r leading units are fixed, every entry of the family matrix
+    is affine in the other n - 1 parameters: its value at the origin plus
+    a combination of its steps along the unit directions.  So the family
+    is evaluated there only (n calls per leading value), and span(point,
+    k) walks point + sum t_j steps[j] mod p, t_j in 0..p-1 for j >= k, on
+    raw ints: matrices are tuples of row tuples, and each step lists only
+    the rows it changes, as (row index, delta).
 
     With keep, only the matrices whose every row r passes keep(r, row)
-    are returned, and the span walk prunes by it (see _add_affine_span)
-    instead of building the rest.  When calls is a list, the walk's call
-    count for each leading value is appended to it.  With budget, the walk
-    raises BudgetExceeded(calls so far, budget) at the first call past it,
-    counting over all leading values; those are evaluated one at a time,
-    so none is built that the walk does not reach.
+    are returned, and span prunes by it: settled[k] lists the rows
+    steps[k - 1] changes and no later step does (settled[0] those no step
+    changes), so on entry their values are final for every point below,
+    and a failing one cuts the whole subtree.  When calls is a list,
+    span's call count for each leading value is appended to it.  With
+    budget, span raises BudgetExceeded(calls so far, budget) at the first
+    call past it, counting over all leading values; those are evaluated
+    one at a time, so none is built that the walk does not reach.
     """
-    if alg.label not in TORUS_FAMILIES:
-        return None
     field = alg.field
-    p = field.p
-    n = alg.dim
-    if alg.label == "f1":
-        try:
-            _check_f1_dimension(n)
-        except DimensionTooSmall:
-            return None
+    p, n = field.p, alg.dim
+    try:
+        rank, at = _family(alg.label, n)
+    except (UnsupportedFamily, DimensionTooSmall):
+        return None
     zero, one = field.zero(), field.one()
-    # lazily: a walk cut by its budget leaves the rest unbuilt
-    units = [one] if representatives else map(field.scalar, range(1, p))
+    units = [one] if representatives else [field.scalar(v) for v in range(1, p)]
     # the origin of the non-leading parameters, then each unit direction
     points = [(zero,) * (n - 1)] + [
         tuple(one if i == j else zero for i in range(n - 1)) for j in range(n - 1)
     ]
     matrices = set()
     spent = 0
-    for origin, *along_units in _leading_evaluations(alg, points, units):
-        base = tuple(map(tuple, _values(origin, field)))
-        steps = []
-        for m in along_units:
-            deltas = (tuple(x - y for x, y in zip(row, base_row))
-                      for row, base_row in zip(_values(m, field), base))
-            steps.append(tuple((r, delta) for r, delta in enumerate(deltas) if any(delta)))
-        # densest step outermost, so the innermost loops rebuild fewest rows
-        steps.sort(key=len, reverse=True)
-        settled = None
+
+    def span(point, k: int) -> None:
+        nonlocal spent
+        spent += 1
+        if budget is not None and spent > budget:
+            raise BudgetExceeded(spent, budget)
         if keep is not None:
-            # a row is final once the last step touching it is assigned
-            last = {r: k + 1 for k, step in enumerate(steps) for r, _ in step}
-            settled = [[r for r in range(n) if last.get(r, 0) == k]
-                       for k in range(len(steps) + 1)]
-        walked = _add_affine_span(matrices, base, steps, p, keep, settled, 0, spent, budget)
-        if calls is not None:
-            calls.append(walked - spent)
-        spent = walked
+            for r in settled[k]:
+                if not keep(r, point[r]):
+                    return
+        if k == len(steps):
+            matrices.add(point)
+            return
+        span(point, k + 1)
+        step = steps[k]
+        for _ in range(p - 1):
+            rows = list(point)
+            for r, delta in step:
+                rows[r] = tuple([(x + y) % p for x, y in zip(rows[r], delta)])
+            point = tuple(rows)
+            span(point, k + 1)
+
+    try:
+        for lead in itertools.product(units, repeat=rank):
+            origin, *along_units = [at(n, lead, q) for q in points]
+            base = tuple(map(tuple, _values(origin, field)))
+            steps = []
+            for m in along_units:
+                deltas = (tuple(x - y for x, y in zip(row, base_row))
+                          for row, base_row in zip(_values(m, field), base))
+                steps.append(tuple((r, delta) for r, delta in enumerate(deltas) if any(delta)))
+            # densest step outermost, so the innermost loops rebuild fewest rows
+            steps.sort(key=len, reverse=True)
+            if keep is not None:
+                # a row is final once the last step touching it is assigned
+                last = {r: k + 1 for k, step in enumerate(steps) for r, _ in step}
+                settled = [[r for r in range(n) if last.get(r, 0) == k]
+                           for k in range(len(steps) + 1)]
+            before = spent
+            span(base, 0)
+            if calls is not None:
+                calls.append(spent - before)
+    finally:
+        # span reads itself through its closure cell; emptying the cell
+        # breaks that cycle, so matrices is freed with the call, not by gc
+        del span
     return matrices
-
-
-def _add_affine_span(out: set, point, steps, p: int, keep=None, settled=None, k: int = 0,
-                     spent: int = 0, budget: int | None = None) -> int:
-    """Add to out every point + sum t_j steps[j] mod p, t_j in 0..p-1, for
-    j >= k; return spent plus the number of calls made, this one included.
-    With budget, the call that takes that total past it raises
-    BudgetExceeded(total, budget).
-
-    Matrices are tuples of row tuples and each step lists only the rows
-    it changes, as (row index, delta).  With keep, only points whose
-    every row r passes keep(r, row) are added: settled[k] lists the rows
-    steps[k - 1] changes and no later step does (settled[0] those no step
-    changes), so on entry their values are final for every point below,
-    and a failing one cuts the whole subtree.  Each row is thus tested
-    once per path, and the result is the unpruned span filtered by keep.
-    Kept at module level with out passed in: a nested function calling
-    itself would hold out in a reference cycle, alive after the call until
-    a gc pass.
-    """
-    spent += 1
-    if budget is not None and spent > budget:
-        raise BudgetExceeded(spent, budget)
-    if keep is not None:
-        for r in settled[k]:
-            if not keep(r, point[r]):
-                return spent
-    if k == len(steps):
-        out.add(point)
-        return spent
-    spent = _add_affine_span(out, point, steps, p, keep, settled, k + 1, spent, budget)
-    step = steps[k]
-    for _ in range(p - 1):
-        rows = list(point)
-        for r, delta in step:
-            rows[r] = tuple([(x + y) % p for x, y in zip(rows[r], delta)])
-        point = tuple(rows)
-        spent = _add_affine_span(out, point, steps, p, keep, settled, k + 1, spent, budget)
-    return spent
 
 
 def _reduced(rows, p: int) -> tuple[tuple[int, ...], ...]:
@@ -503,7 +490,10 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
     budget gates on the work done, not on the raw size: the walk raises
     BudgetExceeded(nodes so far, budget) at the first node past it.  An
     algebra with few constants admits little pruning (the abelian one
-    visits all of GL_n(F_p)), and the budget cuts that walk short.
+    visits all of GL_n(F_p)), and the budget cuts that walk short.  The
+    family comparison builds all |Aut| family matrices (family_counts), so
+    after a walk that fits, BudgetExceeded(|Aut|, budget) is raised before
+    any is built when they are more than the budget.
     """
     p = alg.field.p
     if p is None:
@@ -719,6 +709,12 @@ def brute_force_aut(alg: Algebra, budget: int = DEFAULT_BUDGET) -> AutSearchRepo
         # breaks that cycle, so found, cols and by_depth are freed on
         # return or on a budget cut, not by gc
         del walk
+    try:  # the family comparison builds all |Aut| family matrices
+        size, _ = family_counts(alg.label, n, p)
+    except (UnsupportedFamily, DimensionTooSmall):
+        size = 0  # no family to compare with
+    if size > budget:
+        raise BudgetExceeded(size, budget)
     family = _family_param_space(alg)
     if family is not None:  # those whose columns g_k lead with 1
         family = {m for m in family
@@ -796,11 +792,12 @@ def _family_torus(alg: Algebra) -> set[tuple[tuple[int, ...], ...]]:
     """T_F, the family's own torus, as int row tuples: the family at the
     origin of the non-leading parameters, one diagonal matrix per leading
     value (diag(alpha, ..., alpha^n); diag(a_1, b_2, a_1 b_2, ...))."""
-    field = alg.field
-    origin = [(field.zero(),) * (alg.dim - 1)]
+    field, n = alg.field, alg.dim
+    rank, at = _family(alg.label, n)
+    origin = (field.zero(),) * (n - 1)
     units = [field.scalar(v) for v in range(1, field.p)]
-    return {tuple(map(tuple, _values(m, field)))
-            for (m,) in _leading_evaluations(alg, origin, units)}
+    return {tuple(map(tuple, _values(at(n, lead, origin), field)))
+            for lead in itertools.product(units, repeat=rank)}
 
 
 def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> NormalizerReport:
@@ -829,13 +826,13 @@ def normalizer_equals_torus(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Norma
     budget gates on the work done: BudgetExceeded(calls so far, budget)
     is raised at the first call of the walk past it, not on the family's
     size, or at once when the (p-1)^r leading values, which T_F takes one
-    evaluation each, exceed it.
+    evaluation each, exceed it.  That count comes from family_counts,
+    which also refuses an algebra with no family or below its least
+    dimension (_family).
     """
     p = alg.field.p
     if p is None:
         raise FieldMismatch("the normalizer check needs a prime field")
-    if alg.label not in TORUS_FAMILIES:
-        raise UnsupportedFamily(f"no automorphism parametrization for {alg.label!r}")
     n = alg.dim
     # T_F takes one evaluation per leading value, and those are the
     # (p-1)^r torus points: more of them than the budget is refused

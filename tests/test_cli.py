@@ -441,6 +441,15 @@ def test_budget_flag_converts_to_search_budget(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_brute_force_family_comparison_over_budget_exits_two(capsys):
+    # the walk fits the default budget, but the family it is compared with
+    # has 100^2 * 101^2 matrices, too many to build
+    code, out, err = run_cli(
+        capsys, "aut-count", "--family", "f1", "--dim", "3", "--field", "F101", "--brute-force"
+    )
+    assert code == 2 and out == "" and "budget" in err
+
+
 @pytest.mark.parametrize("family, dim, field, count, nodes", [
     ("f1", "4", "F5", 2000, 381),
     ("f1", "5", "F3", 324, 328),

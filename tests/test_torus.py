@@ -12,6 +12,7 @@ from graded_leibniz import (
     Algebra,
     BudgetExceeded,
     DimensionTooSmall,
+    FAMILIES,
     Field,
     FieldMismatch,
     QQ,
@@ -784,6 +785,9 @@ def test_brute_force_f2_reports_no_family():
 def test_brute_force_needs_prime_field():
     with pytest.raises(FieldMismatch):
         brute_force_aut(make_family("nf", 3))
+    # the count formula too: it raised a bare TypeError on p = None
+    with pytest.raises(FieldMismatch):
+        family_counts("nf", 3, None)
 
 
 def test_searches_leave_no_reference_cycles(monkeypatch):
@@ -835,6 +839,40 @@ def test_brute_force_budget(monkeypatch):
     with pytest.raises(BudgetExceeded) as info:
         brute_force_aut(alg, budget=2000)
     assert (info.value.required, info.value.budget) == (2001, 2000)
+
+
+def test_brute_force_budget_covers_the_family_comparison():
+    # the walk over nf 2 over F101 reaches 203 nodes, but comparing its
+    # automorphisms with the family builds all 100 * 101 family matrices:
+    # a budget that fits the walk and not that is refused after the walk
+    alg = make_family("nf", 2, Field(101))
+    with pytest.raises(BudgetExceeded) as info:
+        brute_force_aut(alg, budget=1000)
+    assert (info.value.required, info.value.budget) == (10100, 1000)
+    report = brute_force_aut(alg, budget=10100)
+    assert (report.count, report.nodes, report.all_in_family) == (10100, 203, True)
+
+
+@pytest.mark.parametrize("family, n", [
+    (family, n) for family in FAMILIES for n in range(2, 6)
+    if not (family == "lie_q" and n % 2)
+])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_family_readers_agree(family, n, p):
+    # every reader of the family record refuses the same algebras, and
+    # |Aut| from the count formula is the number of family matrices built,
+    # which is what the brute-force comparison's budget gate reads
+    alg = make_family(family, n, Field(p))
+    space = _family_param_space(alg)
+    try:
+        size, _ = family_counts(family, n, p)
+    except (UnsupportedFamily, DimensionTooSmall):
+        assert space is None
+        with pytest.raises((UnsupportedFamily, DimensionTooSmall)):
+            normalizer_equals_torus(alg)
+        return
+    assert space is not None and len(space) == size
+    normalizer_equals_torus(alg)
 
 
 # -- normalizer ---------------------------------------------------------------
