@@ -3,8 +3,9 @@
 Structure-constant algebras over Q or F_p, abelian grading groups,
 grading verification and enumeration, automorphism searches, maximal
 torus checks, and a runnable suite covering the built-in family
-classifications.  Everything is exact: Fraction coordinates over Q,
-modular integers over F_p, integer matrices for group computations.
+classifications.  Everything is exact: over Q integers, and Fractions
+only where a value is not integral; modular integers over F_p; integer
+matrices for group computations.
 """
 
 from .algebras import (

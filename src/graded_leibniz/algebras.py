@@ -50,7 +50,8 @@ class Algebra:
         self.dim = dim
         self.field = field
         self.label = label
-        #: (i, j) -> ((k, c), ...) with raw c: Fractions over Q, ints in [0, p) over F_p
+        #: (i, j) -> ((k, c), ...) with raw c: over Q an int when c is
+        #: integral and a Fraction otherwise, over F_p an int in [0, p)
         self.sc: dict[tuple[int, int], tuple[tuple[int, Fraction | int], ...]] = {}
         for (i, j), terms in sc.items():
             if not (type(i) is int and type(j) is int and 1 <= i <= dim and 1 <= j <= dim):
@@ -60,7 +61,9 @@ class Algebra:
                 if not (type(k) is int and 1 <= k <= dim):
                     raise ValueError(f"structure constant target {k} out of range")
                 acc[k] = acc.get(k, field.zero()) + field.scalar(c)
-            cleaned = tuple((k, c.value) for k, c in sorted(acc.items()) if c)
+            # Field.scalar gives Fractions over Q; integral ones are kept as ints
+            cleaned = tuple((k, c.value.numerator if c.value.denominator == 1 else c.value)
+                            for k, c in sorted(acc.items()) if c)
             if cleaned:
                 self.sc[(i, j)] = cleaned
 
@@ -78,9 +81,10 @@ class Algebra:
         return [Scalar(self.field, v) for v in out]
 
     def raw_product(self, x: list, y: list) -> list:
-        """Bracket of two raw coefficient vectors (Fractions over Q, ints in [0, p) over F_p)."""
+        """Bracket of two raw coefficient vectors (ints and Fractions over Q,
+        ints in [0, p) over F_p)."""
         p = self.field.p
-        out = [Fraction(0) if p is None else 0] * self.dim
+        out = [0] * self.dim
         for (i, j), terms in self.sc.items():
             f = x[i - 1] * y[j - 1]
             if f:

@@ -265,6 +265,8 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        if args.json_indent is not None and args.json_indent < 0:
+            raise UsageError(f"--json-indent must be at least 0, got {args.json_indent}")
         doc, code = args.run(args)
     except (UsageError, GradedLeibnizError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
 Every scalar carries its field, and mixing fields raises FieldMismatch
-instead of coercing.  Rational values are stored as Fraction (canonical
-reduced form, positive denominator); prime-field values as ints in
-[0, p).  No floating point is used anywhere.
+instead of coercing.  Rational values are ints or Fractions (canonical
+reduced form, positive denominator): `Field.scalar` builds Fractions,
+and arithmetic on integral values may keep them ints.  Prime-field
+values are ints in [0, p).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ class Scalar:
     def inv(self) -> "Scalar":
         if not self:
             raise DivisionByZero("inverse of zero")
-        if self.field.p is None:
-            return Scalar(self.field, 1 / self.value)
+        if self.field.p is None:  # 1 / an int would be a float
+            return Scalar(self.field, Fraction(1) / self.value)
         return Scalar(self.field, pow(self.value, -1, self.field.p))
 
     def __truediv__(self, other):

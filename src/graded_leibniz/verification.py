@@ -64,6 +64,8 @@ class Claim(NamedTuple):
     passed: bool
     detail: dict
     elapsed_ms: int
+    #: the unrounded time, for the per-criterion sums; not in the report
+    seconds: float
 
     def to_json(self) -> dict:
         return {
@@ -83,11 +85,11 @@ def _claim(criterion, name, family, dim, field, check, *args):
     (passed, detail), and report it as one Claim.  The thunk's `criterion`
     attribute lets a caller run some criteria only."""
     def thunk() -> Claim:
-        start = time.monotonic()
+        start = time.perf_counter()
         passed, detail = check(*args)
-        elapsed = int((time.monotonic() - start) * 1000)
-        return Claim(criterion, name, family, dim,
-                     None if field is None else repr(field), passed, detail, elapsed)
+        seconds = time.perf_counter() - start
+        return Claim(criterion, name, family, dim, None if field is None else repr(field),
+                     passed, detail, int(seconds * 1000), seconds)
 
     thunk.criterion = criterion
     return thunk
@@ -519,7 +521,9 @@ def summarize(claims: list[Claim], elapsed_ms: int, cpu_ms: int) -> dict:
     sum of per-claim times, which overstates it when claims overlap in a
     worker pool, and cpu_ms the process CPU time over all its threads.
     `criteria` rolls the claims up per criterion: how many, how many
-    failed, and the sum of their elapsed_ms."""
+    failed, and their total time in ms, the unrounded times summed and
+    then rounded (summing each claim's truncated elapsed_ms would read 0
+    for a criterion of many sub-millisecond claims)."""
     failed = [c for c in claims if not c.passed]
     criteria: dict[str, dict] = {}
     for n in sorted({c.criterion for c in claims}):
@@ -527,7 +531,7 @@ def summarize(claims: list[Claim], elapsed_ms: int, cpu_ms: int) -> dict:
         criteria[str(n)] = {
             "claims": len(mine),
             "failed": sum(not c.passed for c in mine),
-            "elapsed_ms": sum(c.elapsed_ms for c in mine),
+            "elapsed_ms": round(sum(c.seconds for c in mine) * 1000),
         }
     return {
         "claims": [c.to_json() for c in claims],

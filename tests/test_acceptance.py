@@ -160,10 +160,13 @@ def test_report_rolls_claims_up_per_criterion(claims_by_criterion):
     criteria = report["criteria"]
     assert list(criteria) == [str(n) for n in sorted(claims_by_criterion)]
     for n, bucket in claims_by_criterion.items():
+        # each claim's own elapsed_ms truncates its unrounded time; the
+        # criterion sums the unrounded times and rounds once
+        assert all(c.elapsed_ms == int(c.seconds * 1000) and c.seconds > 0 for c in bucket)
         assert criteria[str(n)] == {
             "claims": len(bucket),
             "failed": sum(not c.passed for c in bucket),
-            "elapsed_ms": sum(c.elapsed_ms for c in bucket),
+            "elapsed_ms": round(sum(c.seconds for c in bucket) * 1000),
         }
     assert sum(row["claims"] for row in criteria.values()) == report["total"] == 366
     assert sum(row["failed"] for row in criteria.values()) == report["failed"] == 0

@@ -382,11 +382,41 @@ def test_json_round_trip_random(alg):
 @given(random_algebra())
 @settings(max_examples=100, deadline=None)
 def test_constants_raw_inside_scalars_outside(alg):
+    # over Q a constant is an int when it is integral and a Fraction only
+    # otherwise, so integer constants never pay for Fraction arithmetic
     p = alg.field.p
     for terms in alg.sc.values():
         for _, c in terms:
-            assert isinstance(c, Fraction) if p is None else (type(c) is int and 0 < c < p)
+            if p is None:
+                assert c and (type(c) is int if Fraction(c).denominator == 1
+                              else type(c) is Fraction and c.denominator > 1)
+            else:
+                assert type(c) is int and 0 < c < p
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
-            for _, c in alg.bracket_basis(i, j):
+            raw = alg.sc.get((i, j), ())
+            scalars = alg.bracket_basis(i, j)
+            assert [k for k, _ in scalars] == [k for k, _ in raw]
+            for (_, c), (_, r) in zip(scalars, raw):
                 assert isinstance(c, Scalar) and c.field == alg.field and c
+                assert type(c.value) is type(r) and c.value == r
+
+
+def test_scalars_over_q_hold_ints_or_fractions():
+    # an int constant once made inv, / and a negative ** return floats
+    # (1 / 2 is 0.5); every Scalar handed out over Q must stay exact
+    custom = Algebra(3, QQ, {(1, 1): [(2, "1/2")], (2, 1): [(3, 2)], (1, 2): [(3, -3)]})
+    for alg in (make_family("lie_q", 6), custom):
+        n, e = alg.dim, _basis(alg)
+        scalars = [c for i in range(1, n + 1) for j in range(1, n + 1)
+                   for _, c in alg.bracket_basis(i, j)]
+        scalars += [c for u in e for v in e for c in alg.product(u, v)]
+        nonzero = [c for c in scalars if c]
+        inverses = [c.inv() for c in nonzero]
+        scalars += inverses + [c ** -2 for c in nonzero]
+        scalars += [a / b for a in nonzero for b in nonzero]
+        assert all(type(c.value) in (int, Fraction) for c in scalars)
+        assert all(c * d == QQ.one() for c, d in zip(nonzero, inverses))
+    assert Scalar(QQ, 2).inv().value == Fraction(1, 2)
+    assert (Scalar(QQ, 3) / Scalar(QQ, 2)).value == Fraction(3, 2)
+    assert (Scalar(QQ, 2) ** -3).value == Fraction(1, 8)

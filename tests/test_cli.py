@@ -6,11 +6,20 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import graded_leibniz
-from graded_leibniz import QQ, Field, make_family
+from graded_leibniz import (
+    QQ,
+    Algebra,
+    Field,
+    check_leibniz,
+    make_family,
+    nilpotency_profile,
+    right_annihilator,
+)
 from graded_leibniz.cli import main
 from graded_leibniz.gradings import universal_grading_with_generators
 
@@ -207,6 +216,41 @@ def test_large_outputs_are_byte_identical(capsys, verb, family):
     assert digest.hexdigest() == GOLDEN_DIGESTS[verb, family], f"{verb} --family {family} output changed"
 
 
+#: An algebra with non-integral constants, which no GOLDEN_DIGESTS input
+#: has: nf 6 in the basis f_1 = e_1, f_2 = 3e_2 - 2e_1 and f_i = i e_i for
+#: i >= 3.  Its constants include -3/2 and 5/6, and its right annihilator's
+#: first reduced row is (1, 1/2, 0, 0, 0, 0), which the integer
+#: elimination in linalg.rref holds as (2, 1, 0, 0, 0, 0), a pivot entry
+#: that is not 1.
+NON_INTEGRAL_INPUT = os.path.join(os.path.dirname(__file__), "data", "nf6_rescaled_basis.json")
+
+#: sha256 of check, props and export stdout on NON_INTEGRAL_INPUT: how a
+#: Fraction constant and a row with a non-unit pivot are printed.  Recorded
+#: before integral constants were stored as ints over Q.
+NON_INTEGRAL_DIGESTS = {
+    "check": "8c34303115dd7841620ea8ee29549036814ebea950ebf6c881d3e1209aefb24c",
+    "props": "e233f76b64a61d0564562c87e48c466ec9fdd28e443c47988127d1748f1eb442",
+    "export": "679eed67553906d12dbfb48a24113826778a428e357f47e9f88495ece7808c63",
+}
+
+
+def test_non_integral_input_is_what_its_digests_claim():
+    with open(NON_INTEGRAL_INPUT, encoding="utf-8") as handle:
+        alg = Algebra.from_json(json.load(handle))
+    constants = {c for terms in alg.sc.values() for _, c in terms}
+    assert {Fraction(-3, 2), Fraction(5, 6)} <= constants
+    assert right_annihilator(alg).rows[0] == [1, Fraction(1, 2), 0, 0, 0, 0]
+    # nf 6 itself, in another basis
+    assert nilpotency_profile(alg).null_filiform and check_leibniz(alg).ok
+
+
+@pytest.mark.parametrize("verb", sorted(NON_INTEGRAL_DIGESTS))
+def test_non_integral_outputs_are_byte_identical(capsys, verb):
+    code, out, err = run_cli(capsys, verb, "--input", NON_INTEGRAL_INPUT)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == NON_INTEGRAL_DIGESTS[verb], f"{verb} output changed"
+
+
 def test_props_antisymmetric_over_f2(capsys):
     """Over F2, -c = c, so only the diagonal test tells nf ([e1, e1] = e2) from a Lie algebra."""
     _, doc = run_json(capsys, "props", "--family", "nf", "--dim", "2", "--field", "F2")
@@ -330,6 +374,14 @@ def test_json_indent_flag(capsys):
     code, out, _ = run_cli(capsys, "--json-indent", "2", "check", "--family", "nf", "--dim", "3")
     assert code == 0 and out.startswith("{\n  ")
     json.loads(out)
+
+
+def test_json_indent_refuses_negative_values(capsys):
+    # json.dumps takes indent -1 as 0: newlines and no indentation, exit 0
+    code, out, err = run_cli(capsys, "--json-indent", "-1", "check", "--family", "nf", "--dim", "3")
+    assert code == 2 and out == "" and "--json-indent must be at least 0, got -1" in err
+    code, out, _ = run_cli(capsys, "--json-indent", "0", "check", "--family", "nf", "--dim", "3")
+    assert code == 0 and out.startswith("{\n\"leibniz\"")
 
 
 def test_usage_errors_exit_two(capsys):
