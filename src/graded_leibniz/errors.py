@@ -17,6 +17,10 @@ class DimensionTooSmall(GradedLeibnizError, ValueError):
     """Raised when a construction needs a larger dimension than requested."""
 
 
+class DimensionTooLarge(GradedLeibnizError, ValueError):
+    """Raised when an algebra's dimension is above algebras.MAX_DIM."""
+
+
 class QnOddDimension(GradedLeibnizError, ValueError):
     """Raised when the even-dimensional Lie family is requested with odd dimension."""
 

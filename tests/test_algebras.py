@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from graded_leibniz import (
     Algebra,
+    DimensionTooLarge,
     DimensionTooSmall,
     FAMILIES,
     Field,
     FieldMismatch,
+    MAX_DIM,
     QQ,
     QnOddDimension,
     UnsupportedFamily,
@@ -26,6 +28,7 @@ from graded_leibniz import (
     make_family,
     nilpotency_profile,
     right_annihilator,
+    Subspace,
 )
 from graded_leibniz.algebras import _is_zero_sum
 from graded_leibniz.fields import Scalar
@@ -357,9 +360,49 @@ def dense_check_leibniz(alg):
 @example(make_family("f2", 5, Field(5)))
 # the first violation, (2, 1, 2), has only [x, z] = [e2, e2] stored
 @example(Algebra(5, F3, {(4, 5): [(1, 1)], (2, 2): [(5, 2)], (5, 1): [(3, 1)]}))
+# the first violation, (1, 1, 2), is reached only through e2, the target of
+# [e1, e1]: a reach without the targets' partners returns (1, 2, 1)
+@example(Algebra(2, QQ, {(1, 1): [(2, 1)], (2, 2): [(2, 1)]}))
 @settings(max_examples=300, deadline=None)
 def test_sparse_check_leibniz_matches_dense_loop(alg):
     assert check_leibniz(alg) == dense_check_leibniz(alg)
+
+
+def reference_lower_central_series(alg):
+    """L^1 = L and L^{k+1} the span of [v, e_j] over the basis v of L^k and
+    every j, by Algebra.product, until a term is zero or repeats."""
+    field, e = alg.field, _basis(alg)
+    series = [Subspace(field, alg.dim, [[s.value for s in u] for u in e])]
+    while not series[-1].is_zero():
+        prev = series[-1]
+        vectors = [[s.value for s in alg.product([field.scalar(x) for x in v], u)]
+                   for v in prev.rows for u in e]
+        series.append(Subspace(field, alg.dim, vectors))
+        if series[-1] == prev:
+            break
+    return series
+
+
+@given(random_algebra(max_dim=5))
+@settings(max_examples=150, deadline=None)
+def test_lower_central_series_matches_definition(alg):
+    series = lower_central_series(alg)
+    expected = reference_lower_central_series(alg)
+    assert [s.rows for s in series] == [s.rows for s in expected]
+
+
+def test_dimension_cap():
+    # every test, workload and claim stays at or below 24
+    assert MAX_DIM > 24
+    assert Algebra(MAX_DIM, QQ, {(1, 1): [(2, 1)]}).dim == MAX_DIM
+    assert make_family("nf", MAX_DIM).dim == MAX_DIM
+    doc = {"dim": 2 ** 70, "field": {"kind": "Q"},
+           "sc": [{"i": 1, "j": 1, "terms": [{"k": 2, "c": 1}]}]}
+    for build in (lambda: Algebra(MAX_DIM + 1, QQ, {}),
+                  lambda: make_family("f1", MAX_DIM + 1),
+                  lambda: Algebra.from_json(doc)):
+        with pytest.raises(DimensionTooLarge, match="above the cap"):
+            build()
 
 
 @given(random_algebra())

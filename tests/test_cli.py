@@ -643,6 +643,21 @@ def test_huge_json_integer_exits_two(capsys, tmp_path, verb, text):
     assert one_error_line(err) and "malformed" in err
 
 
+@pytest.mark.parametrize("verb", ["check", "props", "gradings", "aut-count", "normalizer", "export"])
+def test_dimension_above_the_cap_exits_two_at_once(capsys, tmp_path, verb):
+    # "dim": 2**70 sent check, props and gradings into Subspace.full, which
+    # built an identity of that size entry by entry and never returned
+    huge = str(2 ** 70)
+    path = tmp_path / "oversized.json"
+    path.write_text(_one_constant_doc("1", dim=huge))
+    for argv in ((verb, "--input", str(path)), (verb, "--family", "nf", "--dim", huge)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert one_error_line(err) and f"above the cap of {graded_leibniz.MAX_DIM}" in err
+
+
 @pytest.mark.parametrize("verb", [("check",), ("props",), ("aut-count", "--brute-force"), ("export",)])
 @pytest.mark.parametrize("p", ["5.0", "true"])
 def test_non_integer_modulus_exits_two(capsys, tmp_path, verb, p):
