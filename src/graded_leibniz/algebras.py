@@ -70,11 +70,11 @@ class Algebra:
         self.sc: dict[tuple[int, int], tuple[tuple[int, Fraction | int], ...]] = {}
         for (i, j), terms in sc.items():
             if not (type(i) is int and type(j) is int and 1 <= i <= dim and 1 <= j <= dim):
-                raise ValueError(f"structure constant index ({i},{j}) out of range")
+                raise ValueError(f"structure constant index ({i!r},{j!r}) out of range")
             acc: dict[int, Scalar] = {}
             for k, c in terms:
                 if not (type(k) is int and 1 <= k <= dim):
-                    raise ValueError(f"structure constant target {k} out of range")
+                    raise ValueError(f"structure constant target {k!r} out of range")
                 acc[k] = acc.get(k, field.zero()) + field.scalar(c)
             # Field.scalar gives Fractions over Q; integral ones are kept as ints
             cleaned = tuple((k, c.value.numerator if c.value.denominator == 1 else c.value)

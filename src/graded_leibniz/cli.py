@@ -5,7 +5,8 @@ export.  `build_parser` declares each verb once, with its handler as the
 subparser's `run` default; the parser is built once at import and `main`
 calls `args.run(args)`.  Every invocation writes exactly one JSON
 document to stdout; usage problems, a malformed `--input` document
-included, go to stderr with exit code 2, failed checks exit 1.
+included, go to stderr with exit code 2, failed checks exit 1.  A
+stdout closed by its reader also exits 2, with one `error:` line.
 Output is deterministic: result lists are canonically sorted before
 emission and worker-pool scheduling never affects report order.
 """
@@ -31,6 +32,7 @@ from .catalog import FAMILY_HYPOTHESIS, default_group_menu, enumerate_h1_grading
 from .errors import GradedLeibnizError
 from .fields import Field, QQ, Scalar
 from .groups import AbelianGroup
+from .linalg import unit_rows
 from .torus import DEFAULT_BUDGET, brute_force_aut, family_counts, normalizer_equals_torus
 from .verification import run_all, summarize
 
@@ -107,8 +109,10 @@ def _cmd_check(args):
 
 
 def _rows_json(field: Field, space) -> list[list]:
-    """The raw basis rows of a subspace as JSON scalars ("p/q" over Q, ints over F_p)."""
-    return [[Scalar(field, v).to_json() for v in row] for row in space.rows]
+    """The reduced basis rows of a subspace, 1 at each pivot, as JSON
+    scalars ("p/q" over Q, ints over F_p)."""
+    rows = space.rows if field.p is not None else unit_rows(space.rows, space.pivots)
+    return [[Scalar(field, v).to_json() for v in row] for row in rows]
 
 
 def _cmd_props(args):
@@ -271,7 +275,16 @@ def main(argv=None) -> int:
     except (UsageError, GradedLeibnizError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(doc, indent=args.json_indent))
+    try:
+        print(json.dumps(doc, indent=args.json_indent), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's last flush of what is left cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
     return code
 
 

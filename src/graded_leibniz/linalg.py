@@ -5,14 +5,17 @@ Q, ints in [0, p) over F_p.  Every elimination runs through one loop,
 `reduce_vector`, which reduces one vector against echelon rows built so
 far and can extend them by it (the automorphism walk's rank test and
 Subspace membership).  Over F_p an echelon row is 1 at its pivot; over Q
-its pivot entry need not be 1, and only integer rows are extended.
+it is a primitive integer row, whose pivot entry need not be 1.
 `rref` reduces a whole matrix on it: for Subspace, affine_solve,
 is_automorphism and the torus searches' systems (integer matrices are
 inverted in snf, on its Hermite loop).  Over Q it is fraction-free: it
-eliminates on integer rows divided by their content and builds
-Fractions only for the rows it returns.  Subspaces hold their
-reduced row echelon basis as raw rows (Fractions over Q, 1 at each
-pivot), so subspace equality is plain row comparison.  Scalars appear
+clears each row's denominators once, eliminates on integer rows divided
+by their content, and returns them so: ints with content 1, positive at
+their pivot and 0 at every other pivot.  These rows are as canonical as
+the pivot-1 form, so Subspaces hold them and subspace equality is plain
+row comparison.  `unit_rows` builds the pivot-1 Fraction rows, only
+where a rational value leaves the kernel: affine_solve's solutions,
+raw_inverse, Subspace.reduce and the CLI's printed rows.  Scalars appear
 only in `_values`, which checks a Scalar matrix's field and reads off its
 raw values.  No library code calls `raw_inverse`: it is the tests'
 reference inverse, for snf's integer inverse and the torus zero-pattern
@@ -28,32 +31,37 @@ from .errors import FieldMismatch
 from .fields import Field, Scalar
 
 
-#: one zero serves every returned row over Q: Fractions are immutable
+#: one zero serves every row unit_rows builds: Fractions are immutable
 _ZERO = Fraction(0)
+
+
+def _cleared(row: list) -> list[int]:
+    """A row of ints and Fractions times the lcm of its denominators: an
+    integer row spanning the same line."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    d = lcm(*{x.denominator for x in row})
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of raw values; returns (nonzero rows, 0-based pivots).
 
-    Entries are Fractions when p is None (ints and Fractions in) and ints
-    reduced mod p otherwise.  Each row is reduced against the echelon rows
-    before it and kept when a residue is left (reduce_vector with extend);
-    then each kept row, last first, is cleared at the pivots of the rows
-    after it, and the rows are sorted by pivot.  Over Q the elimination
-    runs on integer rows: each input row is multiplied by the lcm of its
-    denominators, each kept row is divided by its content, and the rows
-    are scaled to 1 at their pivots, as Fractions, only on return.
+    Over F_p (p given) the entries are ints reduced mod p and each row is
+    1 at its pivot.  Over Q (p None; ints and Fractions in) each row is
+    the primitive integer multiple of its pivot-1 form: ints with content
+    1 and a positive pivot entry, 0 at the other rows' pivots, which is
+    just as canonical (unit_rows gives the pivot-1 Fractions).  Each row
+    is reduced against the echelon rows before it and kept when a residue
+    is left (reduce_vector with extend); then each kept row, last first,
+    is cleared at the pivots of the rows after it, and the rows are sorted
+    by pivot.  Over Q each input row is first multiplied by the lcm of its
+    denominators, and each kept row is divided by its content.
     """
     out: list[list] = []
     pivots: list[int] = []
     for row in rows:
-        if p is not None:
-            v = [x % p for x in row]
-        elif all(type(x) is int for x in row):
-            v = list(row)
-        else:  # ints and Fractions: clear the denominators
-            d = lcm(*{x.denominator for x in row})
-            v = [x.numerator * (d // x.denominator) for x in row]
+        v = [x % p for x in row] if p is not None else _cleared(row)
         reduce_vector(out, pivots, v, p, extend=True)
     for s in range(len(out) - 2, -1, -1):
         v = reduce_vector(out[s + 1:], pivots[s + 1:], out[s], p)
@@ -61,10 +69,14 @@ def rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]
             g = gcd(*v)  # positive: the leading entry was only multiplied by positive pivots
             v = [x // g for x in v]
         out[s] = v
-    if p is None:
-        out = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(out, pivots)]
     order = sorted(range(len(out)), key=pivots.__getitem__)
     return [out[t] for t in order], [pivots[t] for t in order]
+
+
+def unit_rows(rows: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
+    """Over Q, echelon rows (as rref returns them) scaled to 1 at their
+    pivots, as Fractions: the reduced row echelon form in its usual shape."""
+    return [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(rows, pivots)]
 
 
 def reduce_vector(rows: list[list], pivots: list[int], v,
@@ -76,9 +88,10 @@ def reduce_vector(rows: list[list], pivots: list[int], v,
     Row t must be nonzero at column pivots[t] and 0 at the pivots of the
     rows before it, as every echelon basis is; one pass in order then
     clears v at every pivot.  Over F_p every pivot entry must be 1.  Over
-    Q a row with pivot entry a != 1 updates v to a*v - f*row, so the
-    residue is v minus a combination of rows only up to a nonzero factor;
-    against rows that are 1 at their pivots (a Subspace basis) it is
+    Q a row with pivot entry a != 1 updates v to a*v - f*row, so against
+    a Subspace basis or rref's rows the residue is v minus a combination
+    of rows only up to a positive factor, which is enough to decide
+    membership; against rows that are 1 at their pivots (unit_rows) it is
     exactly v - sum v[c]*row.  With extend, a nonzero residue is appended
     to rows and the index of its first nonzero entry to pivots (so they
     keep the form above), and returned: over F_p scaled to 1 there, over
@@ -126,6 +139,8 @@ def affine_solve(rows: list[list], ncols: int,
     reduced, pivots = rref(rows, p)
     if pivots and pivots[-1] == ncols:
         return None
+    if p is None:
+        reduced = unit_rows(reduced, pivots)
     zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
     x0 = [zero] * ncols
     for row, c in zip(reduced, pivots):
@@ -155,7 +170,11 @@ def raw_inverse(m: list[list], p: int | None = None) -> list[list] | None:
         aug[i][n + i] = 1
     reduced, pivots = rref(aug, p)
     # [m | I] has rank n, so m is invertible iff every pivot lies in m's columns
-    return None if pivots and pivots[-1] >= n else [row[n:] for row in reduced]
+    if pivots and pivots[-1] >= n:
+        return None
+    if p is None:
+        reduced = unit_rows(reduced, pivots)
+    return [row[n:] for row in reduced]
 
 
 def _values(m: list[list[Scalar]], field: Field) -> list[list]:
@@ -171,12 +190,13 @@ _EXACT_FP = frozenset((int,))
 
 
 class Subspace:
-    """A subspace of F^n held in canonical RREF basis form.
+    """A subspace of F^n held in canonical echelon basis form (see rref).
 
-    Vectors in and rows out are raw values (see rref): Fractions over Q,
-    ints in [0, p) over F_p.  Vectors in may hold ints or Fractions over Q
-    and ints over F_p; anything else (a bool, a float, a string) raises
-    ValueError, as Field.scalar refuses it.
+    Its rows are raw values: primitive integer rows over Q (unit_rows
+    gives their pivot-1 Fractions), ints in [0, p) and 1 at each pivot
+    over F_p.  Vectors in may hold ints or Fractions over Q and ints over
+    F_p; anything else (a bool, a float, a string) raises ValueError, as
+    Field.scalar refuses it.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots")
@@ -203,14 +223,21 @@ class Subspace:
         return len(self.rows)
 
     def reduce(self, v: list) -> list:
-        """Residue of v after elimination against the basis rows."""
+        """Residue of v after elimination against the basis rows, exactly
+        v minus its combination of the pivot-1 rows: Fractions over Q."""
         self._check(v)
         p = self.field.p
-        v = [Fraction(x) for x in v] if p is None else [x % p for x in v]
-        return reduce_vector(self.rows, self.pivots, v, p)
+        if p is not None:
+            return reduce_vector(self.rows, self.pivots, [x % p for x in v], p)
+        v = [Fraction(x) for x in v]
+        return reduce_vector(unit_rows(self.rows, self.pivots), self.pivots, v)
 
     def contains(self, v: list) -> bool:
-        return not any(self.reduce(v))
+        """Whether v lies in the subspace; over Q decided on v's integer multiple."""
+        self._check(v)
+        p = self.field.p
+        v = [x % p for x in v] if p is not None else _cleared(v)
+        return not any(reduce_vector(self.rows, self.pivots, v, p))
 
     def __eq__(self, other):
         return (

@@ -2,9 +2,10 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graded_leibniz import (
@@ -389,6 +390,31 @@ def test_lower_central_series_matches_definition(alg):
     series = lower_central_series(alg)
     expected = reference_lower_central_series(alg)
     assert [s.rows for s in series] == [s.rows for s in expected]
+
+
+@st.composite
+def rational_algebra(draw, max_dim=5):
+    """An algebra over Q of dimension at most max_dim with at least one
+    non-integral constant, so its series terms are reduced from Fraction
+    products into integer rows, often with pivot entries other than 1."""
+    n = draw(st.integers(min_value=2, max_value=max_dim))
+    index = st.integers(min_value=1, max_value=n)
+    constant = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 6)])
+    keys = draw(st.lists(st.tuples(index, index), min_size=1, max_size=2 * n, unique=True))
+    alg = Algebra(n, QQ, {key: draw(st.lists(st.tuples(index, constant), min_size=1, max_size=3))
+                          for key in keys})
+    assume(any(type(c) is Fraction for terms in alg.sc.values() for _, c in terms))
+    return alg
+
+
+@given(rational_algebra())
+@settings(max_examples=150, deadline=None)
+def test_lower_central_series_over_q_with_fraction_constants_matches_definition(alg):
+    series = lower_central_series(alg)
+    assert [s.rows for s in series] == [s.rows for s in reference_lower_central_series(alg)]
+    for s in series:  # primitive integer rows, positive at their pivots
+        assert all(type(x) is int for row in s.rows for x in row)
+        assert all(gcd(*row) == 1 and row[c] > 0 for row, c in zip(s.rows, s.pivots))
 
 
 def test_dimension_cap():

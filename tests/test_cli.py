@@ -22,6 +22,7 @@ from graded_leibniz import (
 )
 from graded_leibniz.cli import main
 from graded_leibniz.gradings import universal_grading_with_generators
+from graded_leibniz.linalg import unit_rows
 
 
 def run_cli(capsys, *argv):
@@ -30,14 +31,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, timeout=None):
+def run_module(*argv, timeout=None, stdout=subprocess.PIPE):
     """Run `python -m graded_leibniz.cli` in a child that imports this same package,
     installed or not."""
     root = os.path.dirname(os.path.dirname(graded_leibniz.__file__))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "graded_leibniz.cli", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=timeout,
@@ -220,7 +222,7 @@ def test_large_outputs_are_byte_identical(capsys, verb, family):
 #: has: nf 6 in the basis f_1 = e_1, f_2 = 3e_2 - 2e_1 and f_i = i e_i for
 #: i >= 3.  Its constants include -3/2 and 5/6, and its right annihilator's
 #: first reduced row is (1, 1/2, 0, 0, 0, 0), which the integer
-#: elimination in linalg.rref holds as (2, 1, 0, 0, 0, 0), a pivot entry
+#: elimination in linalg.rref and Subspace hold as (2, 1, 0, 0, 0, 0), a pivot entry
 #: that is not 1.
 NON_INTEGRAL_INPUT = os.path.join(os.path.dirname(__file__), "data", "nf6_rescaled_basis.json")
 
@@ -239,7 +241,9 @@ def test_non_integral_input_is_what_its_digests_claim():
         alg = Algebra.from_json(json.load(handle))
     constants = {c for terms in alg.sc.values() for _, c in terms}
     assert {Fraction(-3, 2), Fraction(5, 6)} <= constants
-    assert right_annihilator(alg).rows[0] == [1, Fraction(1, 2), 0, 0, 0, 0]
+    annihilator = right_annihilator(alg)
+    assert annihilator.rows[0] == [2, 1, 0, 0, 0, 0]
+    assert unit_rows(annihilator.rows, annihilator.pivots)[0] == [1, Fraction(1, 2), 0, 0, 0, 0]
     # nf 6 itself, in another basis
     assert nilpotency_profile(alg).null_filiform and check_leibniz(alg).ok
 
@@ -571,6 +575,19 @@ def test_module_invocation_matches_spec_example():
     )
 
 
+def test_closed_stdout_exits_two_with_one_error_line():
+    # `props ... | head -c 10` printed a BrokenPipeError traceback; a pipe
+    # whose read end is closed before the child starts fails every write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_module("props", "--family", "nf", "--dim", "24", stdout=write, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and one_error_line(proc.stderr), proc.stderr
+
+
 def test_family_label_needs_the_family_structure(capsys, tmp_path):
     # an nf export cut down to one structure constant is no longer nf, so
     # neither the normalizer nor the nf grading hypothesis may apply to it
@@ -656,6 +673,19 @@ def test_dimension_above_the_cap_exits_two_at_once(capsys, tmp_path, verb):
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert one_error_line(err) and f"above the cap of {graded_leibniz.MAX_DIM}" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 2, "field": {"kind": "Q"}, "sc": [{"i": "1\\r2", "j": 1, "terms": [{"k": 2, "c": 1}]}]}',
+    _one_constant_doc("1", k='"2\\n"'),
+], ids=["carriage-return-in-i", "newline-in-k"])
+def test_a_line_break_in_an_index_stays_on_the_error_line(capsys, tmp_path, text):
+    # the index and the target were printed with str(), so a "\r" or "\n"
+    # in a string index split the error message over two lines
+    path = tmp_path / "line_break.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check", "--input", str(path))
+    assert code == 2 and out == "" and one_error_line(err) and "out of range" in err
 
 
 @pytest.mark.parametrize("verb", [("check",), ("props",), ("aut-count", "--brute-force"), ("export",)])

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graded_leibniz import Field, QQ, Subspace
-from graded_leibniz.linalg import affine_solve, raw_inverse, reduce_vector, rref
+from graded_leibniz.linalg import affine_solve, raw_inverse, reduce_vector, rref, unit_rows
 from graded_leibniz.snf import det_int, int_mat_mul
 
 F5 = Field(5)
@@ -86,7 +86,9 @@ def test_subspace_full_zero():
 
 def test_subspace_rows_are_raw_values():
     s = Subspace(QQ, 2, [[2, 1]])
-    assert s.rows == [[1, Fraction(1, 2)]] and all(type(x) is Fraction for x in s.rows[0])
+    assert s.rows == [[2, 1]] and all(type(x) is int for x in s.rows[0])
+    unit = unit_rows(s.rows, s.pivots)
+    assert unit == [[1, Fraction(1, 2)]] and all(type(x) is Fraction for x in unit[0])
     t = Subspace(F5, 2, [[2, 1], [4, 2]])
     assert t.rows == [[1, 3]] and all(type(x) is int for x in t.rows[0])
     assert t.contains([-1, 2]) and t.reduce([0, 7]) == [0, 2]
@@ -124,7 +126,8 @@ def test_subspace_refuses_what_field_scalar_refuses(field, vector):
 
 
 def test_subspace_takes_ints_and_fractions_over_q_and_ints_over_fp():
-    assert Subspace(QQ, 2, [[2, Fraction(1, 2)]]).rows == [[1, Fraction(1, 4)]]
+    s = Subspace(QQ, 2, [[2, Fraction(1, 2)]])
+    assert s.rows == [[4, 1]] and unit_rows(s.rows, s.pivots) == [[1, Fraction(1, 4)]]
     assert Subspace(F5, 2, [[2, -1]]).rows == [[1, 2]]
 
 
@@ -157,8 +160,9 @@ def test_kernel_inverse_over_q_is_exact(m):
         n = len(m)
         assert all(type(x) is Fraction for row in inv for x in row)
         assert int_mat_mul(m, inv) == [[int(i == j) for j in range(n)] for i in range(n)]
-    reduced, _ = rref(m)
-    assert all(type(x) is Fraction for row in reduced for x in row)
+    reduced, pivots = rref(m)
+    assert_primitive(reduced, pivots)
+    assert all(type(x) is Fraction for row in unit_rows(reduced, pivots) for x in row)
 
 
 def test_rref_skips_a_column_without_pivot():
@@ -199,10 +203,20 @@ def assert_reduced(out, pivots):
         assert all(other[c] == 0 for s, other in enumerate(out) if s != t)
 
 
+def assert_primitive(out, pivots):
+    """out is rref's form over Q with these pivots: int rows of content 1,
+    each positive at its pivot, and its unit_rows view is in RREF."""
+    assert all(type(x) is int for row in out for x in row)
+    assert all(gcd(*row) == 1 and row[c] > 0 for row, c in zip(out, pivots))
+    assert_reduced(unit_rows(out, pivots), pivots)
+
+
 @given(rows_with_repeats(), FIELDS)
 def test_rref_is_reduced_spans_its_input_and_has_the_minor_rank(rows, p):
     out, pivots = rref(rows, p)
     if p is None:
+        assert_primitive(out, pivots)
+        out = unit_rows(out, pivots)
         assert all(type(x) is Fraction for row in out for x in row)
     else:
         assert all(type(x) is int and 0 <= x < p for row in out for x in row)
@@ -264,6 +278,8 @@ def cleared(rows):
 @given(rational_rows())
 def test_rref_over_q_of_rational_rows_is_reduced_spans_and_has_the_minor_rank(rows):
     out, pivots = rref(rows)
+    assert_primitive(out, pivots)
+    out = unit_rows(out, pivots)
     assert all(type(x) is Fraction for row in out for x in row)
     assert_reduced(out, pivots)
     for w in rows:
@@ -284,10 +300,12 @@ def test_raw_inverse_over_q_of_rational_matrices_round_trips(m):
 
 def test_subspace_reduce_returns_v_minus_its_pivot_combination():
     s = Subspace(QQ, 3, [[2, 1, 0], [0, 3, 1]])
-    assert s.rows == [[1, 0, Fraction(-1, 6)], [0, 1, Fraction(1, 3)]]
+    assert s.rows == [[6, 0, -1], [0, 3, 1]]
+    unit = unit_rows(s.rows, s.pivots)
+    assert unit == [[1, 0, Fraction(-1, 6)], [0, 1, Fraction(1, 3)]]
     for v in ([1, 1, 1], [Fraction(1, 2), 2, 0], [0, 0, 7]):
         residue = s.reduce(v)
-        exact = [x - sum(v[c] * row[j] for row, c in zip(s.rows, s.pivots))
+        exact = [x - sum(v[c] * row[j] for row, c in zip(unit, s.pivots))
                  for j, x in enumerate(v)]
         assert residue == exact
     assert s.reduce([1, 1, 1]) == [0, 0, Fraction(5, 6)]
@@ -356,9 +374,13 @@ def test_reduce_vector_agrees_with_rref_rank_and_membership(case, p):
     assert rref(rows, p) == rref(vectors, p)
     # the residue is zero exactly on the span, and differs from the probe by
     # a vector of the span; over Q against rows 1 at their pivots, as
-    # Subspace holds them
+    # unit_rows builds them from the integer rows Subspace holds, which
+    # decide membership alike
     if p is None:
         rows, pivots = rref(rows)
+        assert (not any(reduce_vector(rows, pivots, probe))) == (
+            rank(vectors + [probe], p) == len(rows))
+        rows = unit_rows(rows, pivots)
         probe = [Fraction(x) for x in probe]
     residue = reduce_vector(rows, pivots, probe, p)
     assert (not any(residue)) == (rank(vectors + [probe], p) == len(rows))
@@ -413,3 +435,82 @@ def test_affine_solve_over_q(system):
         for v in basis:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
         assert len(basis) == n - rank  # rank-nullity
+
+
+# -- the integer rows against a plain rational Gauss-Jordan --------------------
+
+
+def gauss_jordan(rows):
+    """The reduced row echelon form over Q by the textbook loop on
+    Fractions: (nonzero rows, each 1 at its pivot, sorted by pivot; pivots)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+#: rows of ints and Fractions with zero, repeated and dependent rows, or
+#: small int rows, whose echelon rows mostly have pivot entries other than 1
+Q_ROWS = st.one_of(rational_rows(), rows_with_repeats())
+
+
+@given(Q_ROWS)
+def test_rref_over_q_is_the_primitive_form_of_a_rational_gauss_jordan(rows):
+    out, pivots = rref(rows)
+    reference, ref_pivots = gauss_jordan(rows)
+    assert pivots == ref_pivots
+    assert_primitive(out, pivots)
+    assert unit_rows(out, pivots) == reference
+
+
+@given(Q_ROWS.filter(lambda rows: rows), st.lists(FACTOR, min_size=8, max_size=8), st.randoms())
+def test_spanning_sets_of_one_space_give_equal_subspaces(rows, factors, rnd):
+    n = len(rows[0])
+    reference, _ = gauss_jordan(rows)
+    # another spanning set: each reference row scaled and added to the rows
+    # after it, in shuffled order, with a zero row and a repeat
+    other = [[x * f for x in row] for row, f in zip(reference, factors)]
+    other = [[sum(col) for col in zip(*other[t:])] for t in range(len(other))]
+    other += [[0] * n] + other[:1]
+    rnd.shuffle(other)
+    space = Subspace(QQ, n, rows)
+    assert space == Subspace(QQ, n, other) == Subspace(QQ, n, reference)
+    assert unit_rows(space.rows, space.pivots) == reference
+    if reference:  # one row fewer spans a smaller space
+        assert space != Subspace(QQ, n, reference[1:])
+
+
+def probes(rows):
+    """rows and a vector of their length: random, or a combination of rows."""
+    n = len(rows[0])
+    combination = st.lists(st.sampled_from([0, 1, -1, 3, Fraction(2, 3)]),
+                           min_size=len(rows), max_size=len(rows)).map(
+        lambda ts: [sum(t * row[j] for t, row in zip(ts, rows)) for j in range(n)])
+    return st.tuples(st.just(rows), st.one_of(st.lists(RATIONAL, min_size=n, max_size=n),
+                                              combination))
+
+
+@given(Q_ROWS.filter(lambda rows: rows).flatmap(probes))
+def test_subspace_contains_and_reduce_agree_with_a_rational_gauss_jordan(case):
+    rows, probe = case
+    space = Subspace(QQ, len(probe), rows)
+    reference, pivots = gauss_jordan(rows)
+    inside = len(gauss_jordan(rows + [probe])[0]) == len(reference)
+    assert space.contains(probe) == inside
+    # every span vector v[c] * row at a pivot c is in the space too
+    combo = [sum(probe[c] * row[j] for row, c in zip(reference, pivots)) for j in range(len(probe))]
+    assert space.contains(combo)
+    residue = space.reduce(probe)
+    assert residue == [x - y for x, y in zip(probe, combo)]
+    assert (not any(residue)) == inside
